@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -30,11 +31,61 @@ Registry& Reg() {
   return *registry;
 }
 
-std::atomic<uint64_t> g_acquisitions{0};
+// Acquisition counts, striped by thread: one shared counter would be a
+// cache line every acquiring thread writes, the very contention the fast
+// path exists to avoid. Acquisitions() sums the stripes.
+struct alignas(64) AcquisitionStripe {
+  std::atomic<uint64_t> count{0};
+};
+constexpr unsigned kAcquisitionStripes = 16;
+AcquisitionStripe g_acquisitions[kAcquisitionStripes];
+std::atomic<unsigned> g_next_stripe{0};
+thread_local AcquisitionStripe& tls_acquisitions =
+    g_acquisitions[g_next_stripe.fetch_add(1, std::memory_order_relaxed) %
+                   kAcquisitionStripes];
+
+// Bumped by ResetForTest, which empties the graph: every thread's seen-edge
+// cache from an older generation is stale and is dropped on next use.
+std::atomic<uint64_t> g_generation{0};
 
 // Classes this thread currently holds, in acquisition order. thread_local:
 // only ever touched by the owning thread.
 thread_local std::vector<int> tls_held;
+
+// Edges (held << 32 | acquired) this thread has seen recorded in the graph,
+// valid for graph generation tls_seen_generation. Edges only ever join the
+// graph, and an edge already in it can never close a cycle, so an
+// acquisition whose every edge is cached has nothing to check or record.
+thread_local std::unordered_set<uint64_t> tls_seen;
+thread_local uint64_t tls_seen_generation = 0;
+
+uint64_t EdgeKey(int held, int acquired) {
+  return static_cast<uint64_t>(held) << 32 | static_cast<uint32_t>(acquired);
+}
+
+// The calling thread's seen-edge cache, emptied first when ResetForTest
+// has run since the thread last used it.
+std::unordered_set<uint64_t>& SeenEdges() {
+  uint64_t generation = g_generation.load(std::memory_order_acquire);
+  if (tls_seen_generation != generation) {
+    tls_seen.clear();
+    tls_seen_generation = generation;
+  }
+  return tls_seen;
+}
+
+// True when acquiring `id` needs nothing from the registry: it is not
+// reentrant, and every held -> id edge it would add (none when !add_edges)
+// is one this thread has already seen recorded.
+bool NothingToRecord(int id, bool add_edges) {
+  const std::unordered_set<uint64_t>& seen = SeenEdges();
+  for (int held : tls_held) {
+    if (held == id || (add_edges && seen.count(EdgeKey(held, id)) == 0)) {
+      return false;
+    }
+  }
+  return true;
+}
 
 // Caller holds reg.mu.
 std::string HeldNames(const Registry& reg, const std::vector<int>& held) {
@@ -95,10 +146,12 @@ std::string CheckAndRecord(Registry& reg, int id, bool add_edges) {
     }
   }
   if (add_edges) {
+    std::unordered_set<uint64_t>& seen = SeenEdges();
     for (int held : tls_held) {
       auto [it, new_edge] = reg.edges[held].insert(id);
       (void)it;
       if (!new_edge) {
+        seen.insert(EdgeKey(held, id));
         continue;
       }
       std::vector<int> path;
@@ -123,10 +176,32 @@ std::string CheckAndRecord(Registry& reg, int id, bool add_edges) {
       }
       reg.witnesses[{held, id}] = HeldNames(reg, tls_held);
       ++reg.edge_count;
+      seen.insert(EdgeKey(held, id));
     }
   }
   tls_held.push_back(id);
   return "";
+}
+
+// Records the acquisition of `class_id` by the calling thread; panics on a
+// reentrant acquire or, when add_edges, on an edge that closes a cycle.
+void Acquire(int class_id, bool add_edges) {
+  tls_acquisitions.count.fetch_add(1, std::memory_order_relaxed);
+  if (NothingToRecord(class_id, add_edges)) {
+    tls_held.push_back(class_id);
+    return;
+  }
+  Registry& reg = Reg();
+  std::string panic_msg;
+  {
+    std::lock_guard<std::mutex> lock(reg.mu);
+    panic_msg = CheckAndRecord(reg, class_id, add_edges);
+  }
+  // Panic outside reg.mu: panic hooks acquire instrumented mutexes, which
+  // would re-enter the detector.
+  if (!panic_msg.empty()) {
+    Panic(__FILE__, __LINE__, panic_msg);
+  }
 }
 
 }  // namespace
@@ -142,33 +217,9 @@ int ClassId(const char* name) {
   return it->second;
 }
 
-void OnLock(int class_id) {
-  g_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  Registry& reg = Reg();
-  std::string panic_msg;
-  {
-    std::lock_guard<std::mutex> lock(reg.mu);
-    panic_msg = CheckAndRecord(reg, class_id, /*add_edges=*/true);
-  }
-  // Panic outside reg.mu: panic hooks acquire instrumented mutexes, which
-  // would re-enter the detector.
-  if (!panic_msg.empty()) {
-    Panic(__FILE__, __LINE__, panic_msg);
-  }
-}
+void OnLock(int class_id) { Acquire(class_id, /*add_edges=*/true); }
 
-void OnTryLockSuccess(int class_id) {
-  g_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  Registry& reg = Reg();
-  std::string panic_msg;
-  {
-    std::lock_guard<std::mutex> lock(reg.mu);
-    panic_msg = CheckAndRecord(reg, class_id, /*add_edges=*/false);
-  }
-  if (!panic_msg.empty()) {
-    Panic(__FILE__, __LINE__, panic_msg);
-  }
-}
+void OnTryLockSuccess(int class_id) { Acquire(class_id, /*add_edges=*/false); }
 
 void OnUnlock(int class_id) {
   // Drop the most recent hold of the class (unlock order need not be LIFO).
@@ -181,7 +232,11 @@ void OnUnlock(int class_id) {
 }
 
 uint64_t Acquisitions() {
-  return g_acquisitions.load(std::memory_order_relaxed);
+  uint64_t total = 0;
+  for (const AcquisitionStripe& stripe : g_acquisitions) {
+    total += stripe.count.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 uint64_t Edges() {
@@ -211,12 +266,15 @@ std::string GraphDump() {
 }
 
 void ResetForTest() {
-  g_acquisitions.store(0, std::memory_order_relaxed);
+  for (AcquisitionStripe& stripe : g_acquisitions) {
+    stripe.count.store(0, std::memory_order_relaxed);
+  }
   Registry& reg = Reg();
   std::lock_guard<std::mutex> lock(reg.mu);
   reg.edges.clear();
   reg.witnesses.clear();
   reg.edge_count = 0;
+  g_generation.fetch_add(1, std::memory_order_release);
 }
 
 }  // namespace neve::lock_order

@@ -17,8 +17,13 @@
 // failure on ANY interleaving that performs both nestings. Re-acquiring a
 // held class (self-deadlock) panics the same way.
 //
-// The detector is on by default and costs one short critical section per
-// blocking acquisition; build with -DNEVE_LOCK_ORDER=OFF (cmake) to compile
+// The detector is on by default in every build type. An acquisition pays
+// for the process-wide registry lock only when it adds an edge its thread
+// has not yet seen recorded, or is reentrant: each thread caches the edges
+// it has seen, and an edge already in the graph can never close a cycle, so
+// every other acquisition costs a lookup in the thread's own cache and a
+// relaxed increment of a per-thread counter stripe, touching no cache line
+// other threads write. Build with -DNEVE_LOCK_ORDER=OFF (cmake) to compile
 // the hooks out of neve::Mutex entirely.
 
 #ifndef NEVE_SRC_BASE_LOCK_ORDER_H_
@@ -52,7 +57,8 @@ uint64_t Edges();
 std::string GraphDump();
 
 // Test-only: forgets all edges, witnesses and counters (lock classes
-// persist). Call with no neve::Mutex held.
+// persist), and with them every thread's cache of seen edges. Call with no
+// neve::Mutex held and no other thread acquiring one.
 void ResetForTest();
 
 }  // namespace neve::lock_order

@@ -105,7 +105,15 @@ class Cpu {
   // CPUs built outside a Machine. When attached, every Charge lands in the
   // CPU's current attribution frame; the CPU must have been AttachCpu()d
   // first.
-  void SetAttribution(CycleAttribution* attr) { attr_ = attr; }
+  void SetAttribution(CycleAttribution* attr) {
+    if (attr_ != nullptr) {
+      attr_->BindRedirectPending(index_, nullptr);
+    }
+    attr_ = attr;
+    if (attr_ != nullptr) {
+      attr_->BindRedirectPending(index_, &redirect_pending_);
+    }
+  }
   CycleAttribution* attribution() const { return attr_; }
 
   // --- trap-livelock watchdog -------------------------------------------
@@ -308,7 +316,12 @@ class Cpu {
   // GIC vCPU-interface accesses).
   void ChargeAttributed(uint32_t cycles, AttrCat cat) {
     cycles_ += cycles;
-    if (attr_ != nullptr) {
+    if (attr_ == nullptr) {
+      return;
+    }
+    if (cat == AttrCat::kVncrRedirect) {
+      redirect_pending_ += cycles;  // folded by attr_ (BindRedirectPending)
+    } else {
       attr_->ChargeTo(index_, cat, cycles);
     }
   }
@@ -329,6 +342,9 @@ class Cpu {
   Observability* obs_ = nullptr;      // not-snapshotted: host wiring
   FaultInjector* fault_ = nullptr;    // not-snapshotted: host wiring
   CycleAttribution* attr_ = nullptr;  // not-snapshotted: host wiring
+  // VNCR-redirect cycles attr_ has not folded into a bucket yet.
+  // not-snapshotted: folded before capture, zeroed on apply
+  uint64_t redirect_pending_ = 0;
 
   El el_ = El::kEl2;  // verified structurally on snapshot apply
   uint64_t cycles_ = 0;  // single-mutator: snap restore runs quiesced

@@ -1,7 +1,7 @@
 #include "src/mem/phys_mem.h"
 
-#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/base/bits.h"
 #include "src/base/status.h"
@@ -10,6 +10,7 @@ namespace neve {
 
 PhysMem::PhysMem(uint64_t size_bytes) : size_(size_bytes) {
   NEVE_CHECK_MSG(IsAligned(size_bytes, kPageSize), "size must be page aligned");
+  dir_ = std::make_unique<std::atomic<Page*>[]>(size_bytes >> kPageShift);
 }
 
 void PhysMem::CheckRange(Pa pa, uint64_t bytes) const {
@@ -21,20 +22,27 @@ void PhysMem::CheckRange(Pa pa, uint64_t bytes) const {
   NEVE_CHECK_MSG(pa.PageOffset() + bytes <= kPageSize, "access crosses page");
 }
 
-PhysMem::Page& PhysMem::PageFor(Pa pa) {
-  MutexLock lock(pages_mu_);
-  auto& slot = pages_[pa.PageIndex()];
-  if (slot == nullptr) {
-    slot = std::make_unique<Page>();
-    slot->fill(0);
-  }
-  return *slot;
+void PhysMem::CheckPageIndex(uint64_t page_index) const {
+  // Compared as an index: page_index << kPageShift could wrap into range.
+  NEVE_CHECK_MSG(page_index < (size_ >> kPageShift),
+                 "page index out of range: " + std::to_string(page_index));
 }
 
-const PhysMem::Page* PhysMem::PageForRead(Pa pa) const {
+PhysMem::Page& PhysMem::PageFor(Pa pa) {
+  Page* page = dir_[pa.PageIndex()].load(std::memory_order_acquire);
+  return page != nullptr ? *page : Materialize(pa.PageIndex());
+}
+
+PhysMem::Page& PhysMem::Materialize(uint64_t page_index) {
   MutexLock lock(pages_mu_);
-  auto it = pages_.find(pa.PageIndex());
-  return it == pages_.end() ? nullptr : it->second.get();
+  // Another lane may have published the page since the caller's load.
+  std::atomic<Page*>& slot = dir_[page_index];
+  if (Page* page = slot.load(std::memory_order_acquire)) {
+    return *page;
+  }
+  auto page = std::make_unique<Page>();  // value-initialized: all zero
+  slot.store(page.get(), std::memory_order_release);
+  return *resident_.emplace(page_index, std::move(page)).first->second;
 }
 
 void PhysMem::MarkDirty(uint64_t page_index) {
@@ -43,34 +51,29 @@ void PhysMem::MarkDirty(uint64_t page_index) {
 }
 
 std::vector<uint64_t> PhysMem::ResidentPageIndices() const {
+  MutexLock lock(pages_mu_);
   std::vector<uint64_t> out;
-  {
-    MutexLock lock(pages_mu_);
-    out.reserve(pages_.size());
-    for (const auto& [index, page] : pages_) {
-      out.push_back(index);
-    }
+  out.reserve(resident_.size());
+  for (const auto& [index, page] : resident_) {
+    out.push_back(index);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 bool PhysMem::ReadPage(uint64_t page_index,
                        std::array<uint8_t, kPageSize>* out) const {
-  CheckRange(Pa(page_index << kPageShift), kPageSize);
-  MutexLock lock(pages_mu_);
-  auto it = pages_.find(page_index);
-  if (it == pages_.end()) {
+  CheckPageIndex(page_index);
+  const Page* page = dir_[page_index].load(std::memory_order_acquire);
+  if (page == nullptr) {
     return false;
   }
-  *out = *it->second;
+  *out = *page;
   return true;
 }
 
 void PhysMem::WritePage(uint64_t page_index, const uint8_t* data) {
-  Pa base(page_index << kPageShift);
-  CheckRange(base, kPageSize);
-  Page& page = PageFor(base);
+  CheckPageIndex(page_index);
+  Page& page = PageFor(Pa(page_index << kPageShift));
   std::memcpy(page.data(), data, kPageSize);
   if (dirty_enabled_) {
     MarkDirty(page_index);
@@ -78,9 +81,10 @@ void PhysMem::WritePage(uint64_t page_index, const uint8_t* data) {
 }
 
 void PhysMem::DropPage(uint64_t page_index) {
-  CheckRange(Pa(page_index << kPageShift), kPageSize);
+  CheckPageIndex(page_index);
   MutexLock lock(pages_mu_);
-  pages_.erase(page_index);
+  dir_[page_index].store(nullptr, std::memory_order_release);
+  resident_.erase(page_index);
   if (dirty_enabled_) {
     dirty_.insert(page_index);
   }

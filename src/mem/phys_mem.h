@@ -2,17 +2,20 @@
 //
 // Pages materialize on first touch; the simulator never cares about the
 // host's memory layout, only that every PA within the configured size reads
-// back what was last written. A bump allocator hands out fresh pages for
-// page tables, deferred access pages, and guest RAM carve-outs.
+// back what was last written. A flat directory with one slot per page makes
+// finding a page arithmetic plus one atomic load, with no lock. A bump
+// allocator hands out fresh pages for page tables, deferred access pages,
+// and guest RAM carve-outs.
 
 #ifndef NEVE_SRC_MEM_PHYS_MEM_H_
 #define NEVE_SRC_MEM_PHYS_MEM_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/mutex.h"
@@ -23,7 +26,7 @@
 namespace neve {
 
 namespace snap {
-class Serializer;  // src/snap: serializes the resident page set
+class Serializer;  // src/snap: restores the page allocator's bump pointer
 }  // namespace snap
 
 class PhysMem : public MemIo {
@@ -49,7 +52,7 @@ class PhysMem : public MemIo {
   // Number of pages actually materialized (for tests / stats).
   size_t ResidentPages() const {
     MutexLock lock(pages_mu_);
-    return pages_.size();
+    return resident_.size();
   }
 
   // --- host-side page access (checkpoint / restore / migration) -----------
@@ -65,7 +68,8 @@ class PhysMem : public MemIo {
   // Materializes and overwrites one page (counts as a dirtying write).
   void WritePage(uint64_t page_index, const uint8_t* data);
 
-  // Returns the page to implicit-zero (not resident) state.
+  // Returns the page to implicit-zero (not resident) state. Must not race
+  // with any other access to the same page: a reader may still hold it.
   void DropPage(uint64_t page_index);
 
   // --- dirty-page tracking (migration pre-copy) ---------------------------
@@ -79,25 +83,36 @@ class PhysMem : public MemIo {
   std::vector<uint64_t> DrainDirtyPages();
 
  private:
-  friend class snap::Serializer;
-
   using Page = std::array<uint8_t, kPageSize>;
 
+  // The page holding pa, or nullptr while it still reads as zero.
+  const Page* PageForRead(Pa pa) const {
+    return dir_[pa.PageIndex()].load(std::memory_order_acquire);
+  }
+  // The page holding pa, materialized zeroed on first touch.
   Page& PageFor(Pa pa);
-  const Page* PageForRead(Pa pa) const;
+  Page& Materialize(uint64_t page_index);
   void CheckRange(Pa pa, uint64_t bytes) const;
+  void CheckPageIndex(uint64_t page_index) const;
   void MarkDirty(uint64_t page_index);
 
   uint64_t size_;  // not-snapshotted: fixed by MachineConfig, verified on apply
-  // Guards the *map structure* only: SMP-engine lanes materialize pages
-  // concurrently, and an unordered_map rehash races with every lookup. Page
-  // payloads need no lock -- a byte is only shared across lanes through the
-  // engine's deferred-merge rule, never accessed concurrently. Page storage
-  // is a stable unique_ptr target, so pointers obtained under the lock stay
-  // valid outside it.
+  // One slot per page of [0, size_), nullptr until the page's first touch.
+  // Accessors find a page with one acquire load and no lock. Slots change
+  // only under pages_mu_: first touch re-checks the slot under the lock and
+  // publishes the zeroed page with a release store, so SMP-engine lanes
+  // touching one page concurrently agree on a single page. Page payloads
+  // need no lock -- a byte is only shared across lanes through the engine's
+  // deferred-merge rule, never accessed concurrently.
+  // not-snapshotted: pages move through ResidentPageIndices/ReadPage/
+  // WritePage/DropPage
+  std::unique_ptr<std::atomic<Page*>[]> dir_;
+  // Serializes slot changes; guards the resident and dirty sets.
   mutable Mutex pages_mu_{"mem.phys_pages"};
-  mutable std::unordered_map<uint64_t, std::unique_ptr<Page>> pages_
-      GUARDED_BY(pages_mu_);
+  // Owns every materialized page, keyed by page index: the sorted resident
+  // set, so enumeration and teardown cost O(resident pages), not O(size_).
+  // not-snapshotted: pages move through the public page API above
+  std::map<uint64_t, std::unique_ptr<Page>> resident_ GUARDED_BY(pages_mu_);
   // Dirty tracking. The enable flag is read without the lock on the write
   // fast path; it only ever changes while the machine is single-threaded
   // (migration drivers toggle it between guest steps).

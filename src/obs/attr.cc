@@ -120,9 +120,30 @@ void CycleAttribution::AttachCpu(int cpu) {
   pc.bucket = BucketFor(cpu, root);
 }
 
+void CycleAttribution::Fold(PerCpu& pc) {
+  if (pc.redirect_pending != nullptr && *pc.redirect_pending != 0) {
+    pc.buckets[ReplaceAttrCat(pc.stack.back(), AttrCat::kVncrRedirect)] +=
+        *pc.redirect_pending;
+    *pc.redirect_pending = 0;
+  }
+}
+
+void CycleAttribution::BindRedirectPending(int cpu, uint64_t* pending) {
+  PerCpu& pc = percpu_[static_cast<size_t>(cpu)];
+  Fold(pc);
+  pc.redirect_pending = pending;
+}
+
+void CycleAttribution::FoldPending() {
+  for (PerCpu& pc : percpu_) {
+    Fold(pc);
+  }
+}
+
 void CycleAttribution::Push(int cpu, int vm, int vcpu, AttrLayer layer,
                             AttrCat cat) {
   PerCpu& pc = percpu_[static_cast<size_t>(cpu)];
+  Fold(pc);
   uint64_t key = PackAttrKey(vm, vcpu, layer, cat);
   pc.stack.push_back(key);
   pc.bucket = BucketFor(cpu, key);
@@ -130,6 +151,7 @@ void CycleAttribution::Push(int cpu, int vm, int vcpu, AttrLayer layer,
 
 void CycleAttribution::PushInherit(int cpu, AttrCat cat) {
   PerCpu& pc = percpu_[static_cast<size_t>(cpu)];
+  Fold(pc);
   uint64_t key = ReplaceAttrCat(pc.stack.back(), cat);
   pc.stack.push_back(key);
   pc.bucket = BucketFor(cpu, key);
@@ -138,6 +160,7 @@ void CycleAttribution::PushInherit(int cpu, AttrCat cat) {
 void CycleAttribution::PushInheritLayer(int cpu, AttrLayer layer,
                                         AttrCat cat) {
   PerCpu& pc = percpu_[static_cast<size_t>(cpu)];
+  Fold(pc);
   uint64_t top = pc.stack.back();
   uint64_t key = PackAttrKey(UnpackVm(top), UnpackVcpu(top), layer, cat);
   pc.stack.push_back(key);
@@ -148,6 +171,7 @@ void CycleAttribution::Pop(int cpu) {
   PerCpu& pc = percpu_[static_cast<size_t>(cpu)];
   // host-invariant: scopes are RAII-balanced; the root frame never pops.
   NEVE_CHECK(pc.stack.size() > 1);
+  Fold(pc);
   pc.stack.pop_back();
   pc.bucket = BucketFor(cpu, pc.stack.back());
 }
@@ -174,6 +198,10 @@ std::vector<AttrBucket> CycleAttribution::Snapshot() const {
     for (const auto& [key, cycles] : pc.buckets) {
       merged[key] += cycles;
     }
+    if (pc.redirect_pending != nullptr && *pc.redirect_pending != 0) {
+      merged[ReplaceAttrCat(pc.stack.back(), AttrCat::kVncrRedirect)] +=
+          *pc.redirect_pending;
+    }
   }
   std::vector<AttrBucket> out;
   out.reserve(merged.size());
@@ -191,6 +219,9 @@ uint64_t CycleAttribution::TotalCycles() const {
   for (const PerCpu& pc : percpu_) {
     for (const auto& [key, cycles] : pc.buckets) {
       total += cycles;
+    }
+    if (pc.redirect_pending != nullptr) {
+      total += *pc.redirect_pending;
     }
   }
   return total;

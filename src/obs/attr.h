@@ -162,6 +162,17 @@ class CycleAttribution {
     return percpu_[static_cast<size_t>(cpu)].stack.back();
   }
 
+  // Binds `cpu`'s VNCR-redirect accumulator, a counter owned by that CPU:
+  // the NEVE deferred-access redirect is the hottest single-charge site, so
+  // the CPU adds its cycles to that plain counter, and the attribution folds
+  // them into the current frame's kVncrRedirect bucket before the frame
+  // changes and counts them in every read. Rebinding (or nullptr) folds
+  // what the previous counter holds first.
+  void BindRedirectPending(int cpu, uint64_t* pending);
+  // Folds every bound accumulator into its bucket (the snapshot layer reads
+  // the bucket maps directly).
+  void FoldPending();
+
   // --- the hot path --------------------------------------------------------
   // Charge to the current top frame's bucket: one add through a cached
   // pointer.
@@ -169,8 +180,9 @@ class CycleAttribution {
     *percpu_[static_cast<size_t>(cpu)].bucket += cycles;
   }
   // Charge to the current frame's context but a different category, without
-  // pushing a frame (for single-charge sites like the VNCR redirect). A
-  // one-entry memo per CPU keeps repeated redirects at pointer-add cost.
+  // pushing a frame (for single-charge sites like GIC vCPU-interface
+  // accesses). A one-entry memo per CPU keeps repeated redirects at
+  // pointer-add cost.
   void ChargeTo(int cpu, AttrCat cat, uint64_t cycles) {
     PerCpu& pc = percpu_[static_cast<size_t>(cpu)];
     uint64_t key = ReplaceAttrCat(pc.stack.back(), cat);
@@ -236,7 +248,11 @@ class CycleAttribution {
     uint64_t* bucket = nullptr;   // cached bucket of stack.back()
     uint64_t memo_key = ~UINT64_C(0);  // ChargeTo memo (impossible key)
     uint64_t* memo_bucket = nullptr;
+    uint64_t* redirect_pending = nullptr;  // see BindRedirectPending
   };
+
+  // Moves pc's pending redirect cycles into the current frame's bucket.
+  static void Fold(PerCpu& pc);
 
   uint64_t* BucketFor(int cpu, uint64_t key) {
     return &percpu_[static_cast<size_t>(cpu)].buckets[key];

@@ -573,6 +573,7 @@ Status Serializer::Capture(const SnapTargets& t, Image* out) {
   // restored map must have the exact same shape for reference stability),
   // frame stacks, and the flight-recorder ring.
   CycleAttribution& attr = m.attr_;
+  attr.FoldPending();
   for (const auto& pc : attr.percpu_) {
     AttrCpuImage ai;
     ai.stack = pc.stack;
@@ -1285,10 +1286,15 @@ Status Serializer::Apply(const SnapTargets& t, const Image& img) {
   }
 
   PhysMem& mem = m.mem_;
-  for (const PageImage& p : img.mem.pages) {
-    if ((p.page_index << kPageShift) >= mem.size_) {
+  for (size_t i = 0; i < img.mem.pages.size(); ++i) {
+    uint64_t index = img.mem.pages[i].page_index;
+    if (index >= (mem.size() >> kPageShift)) {
       return Status::InvalidArgument(
           "snapshot: resident page beyond physical memory");
+    }
+    if (i > 0 && index <= img.mem.pages[i - 1].page_index) {
+      return Status::InvalidArgument(
+          "snapshot: resident pages not in ascending order");
     }
   }
 
@@ -1493,18 +1499,20 @@ Status Serializer::Apply(const SnapTargets& t, const Image& img) {
   // ------------------------------------------------------------------
   // Phase 3: physical memory rewrite -- the exact captured resident set
   // replaces whatever the target materialized (including the pages the
-  // reconstruction above transiently allocated).
+  // reconstruction above transiently allocated): pages outside the image
+  // are dropped, every image page is overwritten, and the rewrite itself
+  // leaves nothing in the dirty set.
   // ------------------------------------------------------------------
-  {
-    MutexLock lock(mem.pages_mu_);
-    mem.pages_.clear();
-    for (const PageImage& p : img.mem.pages) {
-      auto page = std::make_unique<PhysMem::Page>();
-      std::copy(p.data.begin(), p.data.end(), page->begin());
-      mem.pages_.emplace(p.page_index, std::move(page));
+  for (uint64_t index : mem.ResidentPageIndices()) {
+    if (!std::ranges::binary_search(img.mem.pages, index, {},
+                                    &PageImage::page_index)) {
+      mem.DropPage(index);
     }
-    mem.dirty_.clear();
   }
+  for (const PageImage& p : img.mem.pages) {
+    mem.WritePage(p.page_index, p.data.data());
+  }
+  (void)mem.DrainDirtyPages();
 
   // ------------------------------------------------------------------
   // Phase 4: allocator cursors.
@@ -1684,6 +1692,9 @@ Status Serializer::Apply(const SnapTargets& t, const Image& img) {
     pc.bucket = &pc.buckets[pc.stack.back()];
     pc.memo_key = ~UINT64_C(0);
     pc.memo_bucket = nullptr;
+    if (pc.redirect_pending != nullptr) {
+      *pc.redirect_pending = 0;  // the target's own run, replaced above
+    }
   }
   {
     MutexLock lock(attr.flights_mu_);

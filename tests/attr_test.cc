@@ -163,6 +163,33 @@ TEST(CycleAttributionTest, ChargeToRedirectsCategoryWithoutAFrame) {
   EXPECT_EQ(rows[1].cycles, 9u);
 }
 
+TEST(CycleAttributionTest, BoundRedirectCyclesFoldIntoTheirFrame) {
+  CycleAttribution attr;
+  attr.AttachCpu(0);
+  uint64_t pending = 0;  // a Cpu's accumulator (Cpu::ChargeAttributed)
+  attr.BindRedirectPending(0, &pending);
+  attr.Push(0, 0, 0, AttrLayer::kL1, AttrCat::kGuestCompute);
+  pending += 7;
+  // Reads count cycles not yet folded...
+  EXPECT_EQ(attr.TotalCycles(), 7u);
+  // ...and a frame change folds them into the frame they were charged in.
+  attr.Push(0, 1, 0, AttrLayer::kL1, AttrCat::kGuestCompute);
+  EXPECT_EQ(pending, 0u);
+  pending += 9;
+
+  std::vector<AttrBucket> rows = attr.Snapshot();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].vm, 0);
+  EXPECT_EQ(rows[0].cat, AttrCat::kVncrRedirect);
+  EXPECT_EQ(rows[0].cycles, 7u);
+  EXPECT_EQ(rows[1].vm, 1);
+  EXPECT_EQ(rows[1].cat, AttrCat::kVncrRedirect);
+  EXPECT_EQ(rows[1].cycles, 9u);
+  attr.BindRedirectPending(0, nullptr);  // unbinding folds as well
+  EXPECT_EQ(pending, 0u);
+  EXPECT_EQ(attr.TotalCycles(), 16u);
+}
+
 TEST(CycleAttributionTest, SnapshotSkipsZeroBucketsAndSorts) {
   CycleAttribution attr;
   attr.AttachCpu(0);

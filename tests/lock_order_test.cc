@@ -1,12 +1,14 @@
-// The debug-build lock-order detector (src/base/lock_order.h): AB/BA cycles
-// and reentrant acquires panic with both acquisition stacks, and the
-// acquisition graph -- keyed by lock *class* (name), not instance -- dumps
+// The lock-order detector (src/base/lock_order.h): AB/BA cycles and
+// reentrant acquires panic with both acquisition stacks, also when one
+// thread's ordering is only in its seen-edge cache, and the acquisition
+// graph -- keyed by lock *class* (name), not instance -- dumps
 // byte-identically regardless of how many threads built it.
 
 #include "src/base/lock_order.h"
 
 #include <cstddef>
 #include <string>
+#include <thread>
 
 #include "gtest/gtest.h"
 #include "src/base/mutex.h"
@@ -42,6 +44,32 @@ TEST(LockOrderDeathTest, CycleReportCarriesBothAcquisitionStacks) {
                "prior acquisition of 'test.dead_b' held: test.dead_a");
 }
 
+// Thread 1 records a -> b and then walks it again from its edge cache;
+// thread 2 nests b -> a for the first time.
+void CachedOrderThenReverseOnAnotherThread() {
+  Mutex a{"test.cached_a"};
+  Mutex b{"test.cached_b"};
+  std::thread first([&] {
+    for (int i = 0; i < 2; ++i) {
+      MutexLock la(a);
+      MutexLock lb(b);
+    }
+  });
+  first.join();
+  std::thread second([&] {
+    MutexLock lb(b);
+    MutexLock la(a);  // a new edge for this thread: the full check runs
+  });
+  second.join();
+}
+
+TEST(LockOrderDeathTest, CycleAgainstAnotherThreadsCachedEdgePanics) {
+  EXPECT_DEATH(CachedOrderThenReverseOnAnotherThread(),
+               "lock-order cycle.*this thread holds: test.cached_b");
+  EXPECT_DEATH(CachedOrderThenReverseOnAnotherThread(),
+               "prior acquisition of 'test.cached_b' held: test.cached_a");
+}
+
 TEST(LockOrderDeathTest, ReentrantAcquirePanics) {
   EXPECT_DEATH(
       {
@@ -70,6 +98,48 @@ TEST(LockOrderTest, CountsAcquisitionsAndEdges) {
   }
   EXPECT_EQ(lock_order::Acquisitions(), 4u);
   EXPECT_EQ(lock_order::Edges(), 1u);
+}
+
+TEST(LockOrderTest, ResetForgetsCachedEdges) {
+  lock_order::ResetForTest();
+  // Each nesting locks its own instances of the two classes: ThreadSanitizer
+  // keys mutexes by address and never sees a std::mutex destroyed, so
+  // reversing one pair of objects (or of reused stack slots) would look to
+  // it like a real inversion. Static storage keeps the addresses unique.
+  static Mutex a1{"test.reset_a"};
+  static Mutex b1{"test.reset_b"};
+  static Mutex a2{"test.reset_a"};
+  static Mutex b2{"test.reset_b"};
+  {
+    MutexLock la(a1);
+    MutexLock lb(b1);
+  }
+  lock_order::ResetForTest();
+  // The graph no longer holds a -> b, so the reverse order is legal now.
+  {
+    MutexLock lb(b2);
+    MutexLock la(a2);
+  }
+  EXPECT_EQ(lock_order::GraphDump(), "test.reset_b -> test.reset_a\n");
+}
+
+TEST(LockOrderTest, ResetEdgeIsRecordedAgain) {
+  lock_order::ResetForTest();
+  Mutex a{"test.rerecord_a"};
+  Mutex b{"test.rerecord_b"};
+  {
+    MutexLock la(a);
+    MutexLock lb(b);
+  }
+  lock_order::ResetForTest();
+  // A stale cache entry would let this nesting skip the registry and leave
+  // the emptied graph without the edge.
+  {
+    MutexLock la(a);
+    MutexLock lb(b);
+  }
+  EXPECT_EQ(lock_order::Edges(), 1u);
+  EXPECT_EQ(lock_order::GraphDump(), "test.rerecord_a -> test.rerecord_b\n");
 }
 
 TEST(LockOrderTest, TryLockRecordsAcquisitionButNoEdges) {
@@ -131,6 +201,17 @@ TEST(LockOrderTest, GraphDumpByteIdenticalAcrossThreadCounts) {
             "test.graph_inner -> test.graph_leaf\n"
             "test.graph_outer -> test.graph_inner\n"
             "test.graph_outer -> test.graph_leaf\n");
+}
+
+TEST(LockOrderTest, AcquisitionsCountEveryThread) {
+  lock_order::ResetForTest();
+  ParallelFor(32, 8, [](size_t) {
+    Mutex outer{"test.count_threads_outer"};
+    Mutex inner{"test.count_threads_inner"};
+    MutexLock lo(outer);
+    MutexLock li(inner);
+  });
+  EXPECT_EQ(lock_order::Acquisitions(), 64u);
 }
 
 TEST(LockOrderTest, UnlockOutOfOrderIsAccepted) {

@@ -3,6 +3,12 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "src/fault/guest_fault.h"
 #include "src/mem/page_table.h"
 #include "src/base/bits.h"
@@ -68,6 +74,66 @@ TEST_F(MemFixture, PageStraddlingAccessAborts) {
 
 TEST(PhysMemTest, UnalignedSizeAborts) {
   EXPECT_DEATH(PhysMem bad(4097), "page aligned");
+}
+
+TEST_F(MemFixture, PageIndexBeyondMemoryAborts) {
+  std::array<uint8_t, kPageSize> page{};
+  EXPECT_DEATH(mem_.ReadPage(kMemSize >> kPageShift, &page),
+               "page index out of range");
+  // 1 << 52 pages shifts to PA 0: the index itself must be range-checked.
+  EXPECT_DEATH(mem_.WritePage(1ull << 52, page.data()),
+               "page index out of range");
+  EXPECT_DEATH(mem_.DropPage(1ull << 52), "page index out of range");
+}
+
+TEST(PhysMemTest, ConcurrentFirstTouchMaterializesEachPageOnce) {
+  // Eight threads first-touch, write and read the same pages in the same
+  // order, so first touches collide; each thread uses its own 8-byte slot
+  // of every page (lanes never share a byte).
+  constexpr int kThreads = 8;
+  constexpr uint64_t kPages = 64;
+  PhysMem mem(kMemSize);
+  auto page_index = [](uint64_t k) { return 3 + 5 * k; };  // sparse, ascending
+  auto value = [](int t, uint64_t k) { return (k << 8) | (t + 1); };
+  auto slot = [&](int t, uint64_t k) {
+    return Pa((page_index(k) << kPageShift) + 8 * static_cast<uint64_t>(t));
+  };
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (uint64_t k = 0; k < kPages; ++k) {
+        // Lock-free reads race with other threads' first touch of the page.
+        mismatches[t] += mem.Read64(slot(t, k)) != 0;
+        mem.Write64(slot(t, k), value(t, k));
+        mismatches[t] += mem.Read64(slot(t, k)) != value(t, k);
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  EXPECT_THAT(mismatches, testing::Each(0));
+  EXPECT_EQ(mem.ResidentPages(), kPages);
+  std::vector<uint64_t> expected;
+  for (uint64_t k = 0; k < kPages; ++k) {
+    expected.push_back(page_index(k));
+  }
+  EXPECT_EQ(mem.ResidentPageIndices(), expected);
+  // A page materialized twice would have lost the writes made to the copy
+  // that lost the race.
+  for (uint64_t k = 0; k < kPages; ++k) {
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mem.Read64(slot(t, k)), value(t, k)) << "page " << k;
+    }
+  }
+  mem.DropPage(page_index(7));
+  EXPECT_EQ(mem.Read64(slot(0, 7)), 0u);
+  EXPECT_EQ(mem.ResidentPages(), kPages - 1);
+  expected.erase(expected.begin() + 7);
+  EXPECT_EQ(mem.ResidentPageIndices(), expected);
 }
 
 // --- PageAllocator ---------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/fault/fault.h"
@@ -185,6 +186,38 @@ TEST(SnapTest, ApplyRejectsStructuralMismatchWithoutPanicking) {
   Status st = wrong.Run(res);
   EXPECT_EQ(st.code(), ErrorCode::kFailedPrecondition) << st.ToString();
   EXPECT_THAT(st.message(), HasSubstr("structural mismatch"));
+}
+
+TEST(SnapTest, ApplyRejectsBadPageIndicesWithoutPanicking) {
+  SnapSpec spec;
+  spec.cfg = StackConfig::NestedNeve(false);
+  Image img;
+  SnapHooks cap;
+  cap.checkpoint_step = 5;
+  cap.checkpoint_out = &img;
+  SnapRunner source(spec);
+  ASSERT_TRUE(source.Run(cap).ok());
+  ASSERT_GE(img.mem.pages.size(), 2u);
+  auto resume = [&](const Image& bad) {
+    SnapHooks res;
+    res.resume_image = &bad;
+    res.resume_step = 5;
+    SnapRunner target(spec);
+    return target.Run(res);
+  };
+
+  Image swapped = img;
+  std::swap(swapped.mem.pages[0], swapped.mem.pages[1]);
+  Status st = resume(swapped);
+  EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument) << st.ToString();
+  EXPECT_THAT(st.message(), HasSubstr("ascending"));
+
+  // 1 << 52 pages shifts to PA 0: only an index comparison rejects it.
+  Image wrapped = img;
+  wrapped.mem.pages.back().page_index = 1ull << 52;
+  st = resume(wrapped);
+  EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument) << st.ToString();
+  EXPECT_THAT(st.message(), HasSubstr("beyond physical memory"));
 }
 
 // --- Live migration ----------------------------------------------------------

@@ -7,8 +7,9 @@
 #   tools/ci.sh ubsan
 #   tools/ci.sh tsan       ThreadSanitizer build + the multithreaded
 #                          workloads: bench fan-out, obsreport and stackfuzz
-#                          at --threads=8, plus a --threads byte-identity
-#                          check on the bench output
+#                          at --threads=8, a --threads byte-identity
+#                          check on the bench output, and the mem_test and
+#                          lock_order_test stress tests
 #   tools/ci.sh tidy       clang-tidy over src/ (skipped when not installed)
 #   tools/ci.sh smoke      simcore_gbench smoke (BENCH_simcore.json), the
 #                          guest-ops/sec perf ratchet (tools/perf_ratchet.txt)
@@ -100,7 +101,7 @@ run_tsan() {
     "-DNEVE_SANITIZE=thread" >/dev/null
   cmake --build "$build_dir" -j "$JOBS" --target \
     table1_micro_v83 fig2_applications smp_hackbench obsreport \
-    stackfuzz >/dev/null
+    stackfuzz mem_test lock_order_test >/dev/null
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"; trap - RETURN' RETURN
@@ -123,6 +124,12 @@ run_tsan() {
   echo "==> [tsan] stackfuzz --threads=8 ($runs runs)"
   "$build_dir/tools/stackfuzz" --seed=20260809 --runs="$runs" --threads=8 \
     --corpus-out="$tmp/corpus" >/dev/null
+  # The stress tests for the lock-free fast paths: eight threads
+  # first-touching one PhysMem's page directory, and the lock-order
+  # detector's per-thread edge cache.
+  echo "==> [tsan] mem_test + lock_order_test"
+  "$build_dir/tests/mem_test" >/dev/null
+  "$build_dir/tests/lock_order_test" >/dev/null
   echo "==> [tsan] OK"
 }
 
