@@ -136,9 +136,14 @@ TEST(HostKvmTest, VirtualEl2RequiresNvHardware) {
 
 // --- nested virtualization ----------------------------------------------------------
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and ctest puts
+// that text in the test name. The bytes between the flags and the pointer are
+// a named, zeroed field rather than padding, so they carry no stack garbage
+// into the name.
 struct NestedParam {
   bool neve;
   bool vhe;
+  char zero[6] = {};
   const char* name;
 };
 
@@ -239,10 +244,11 @@ TEST_P(NestedTest, TrapCountsShowExitMultiplication) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, NestedTest,
-    testing::Values(NestedParam{false, false, "V83NonVhe"},
-                    NestedParam{false, true, "V83Vhe"},
-                    NestedParam{true, false, "NeveNonVhe"},
-                    NestedParam{true, true, "NeveVhe"}),
+    testing::Values(
+        NestedParam{.neve = false, .vhe = false, .name = "V83NonVhe"},
+        NestedParam{.neve = false, .vhe = true, .name = "V83Vhe"},
+        NestedParam{.neve = true, .vhe = false, .name = "NeveNonVhe"},
+        NestedParam{.neve = true, .vhe = true, .name = "NeveVhe"}),
     [](const testing::TestParamInfo<NestedParam>& info) {
       return info.param.name;
     });
