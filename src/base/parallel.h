@@ -1,13 +1,14 @@
-// A minimal fork-join helper for the bench harness.
+// A minimal fork-join helper for the bench and fuzz harnesses.
 //
 // The fig2/table benches iterate independent Machine instances (one per
-// workload x stack cell); a Machine is self-contained -- its CPUs, memory,
-// GIC, timers and observability layer share no mutable global state (the
-// only process-wide mutable is the log level, which the benches never touch
-// mid-run). ParallelFor fans those cells out across a small thread pool and
-// joins before returning, so callers fill index-addressed result arrays in
-// parallel and print them serially afterwards: output stays byte-for-byte
-// deterministic regardless of thread count.
+// workload x stack cell), and the fuzzer runs independent cases and, within
+// one case, independent stack variants; a Machine is self-contained -- its
+// CPUs, memory, GIC, timers and observability layer share no mutable global
+// state (the only process-wide mutable is the log level, which no caller
+// touches mid-run). ParallelFor fans that work out across a small thread
+// pool and joins before returning, so callers fill index-addressed result
+// arrays in parallel and read them serially afterwards: output stays
+// byte-for-byte deterministic regardless of thread count.
 
 #ifndef NEVE_SRC_BASE_PARALLEL_H_
 #define NEVE_SRC_BASE_PARALLEL_H_

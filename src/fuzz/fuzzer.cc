@@ -109,11 +109,12 @@ void MutateOnce(Rng& rng, const std::vector<std::vector<uint8_t>>& corpus,
 }
 
 // Greedy chunked shrinking: repeatedly try deleting chunks (halving the
-// chunk size down to one byte) while `keep` still accepts the re-run.
+// chunk size down to one byte) while `keep` still accepts the re-run. Each
+// re-run fans its stack variants out across `threads`.
 std::vector<uint8_t> Shrink(
     std::vector<uint8_t> bytes,
     const std::function<bool(const CaseResult&)>& keep, uint64_t budget,
-    uint64_t* execs, CaseResult* last_kept) {
+    unsigned threads, uint64_t* execs, CaseResult* last_kept) {
   for (size_t chunk = std::max<size_t>(bytes.size() / 2, 1); chunk >= 1;
        chunk /= 2) {
     for (size_t pos = 0; pos + chunk <= bytes.size();) {
@@ -122,7 +123,7 @@ std::vector<uint8_t> Shrink(
       }
       std::vector<uint8_t> cand(bytes);
       cand.erase(cand.begin() + pos, cand.begin() + pos + chunk);
-      CaseResult r = RunCase(cand);
+      CaseResult r = RunCase(cand, threads);
       *execs += r.execs;
       --budget;
       if (keep(r)) {
@@ -165,7 +166,7 @@ std::vector<uint8_t> Fuzzer::MinimizeFailure(const std::vector<uint8_t>& bytes,
   return Shrink(
       bytes,
       [&](const CaseResult& r) { return !r.ok && OracleOf(r.failure) == oracle; },
-      opts_.minimize_budget, &execs_, nullptr);
+      opts_.minimize_budget, opts_.threads, &execs_, nullptr);
 }
 
 std::vector<uint8_t> Fuzzer::MinimizeForCoverage(
@@ -187,7 +188,8 @@ std::vector<uint8_t> Fuzzer::MinimizeForCoverage(
     }
     return std::includes(got.begin(), got.end(), target.begin(), target.end());
   };
-  return Shrink(bytes, covers, opts_.minimize_budget / 4, &execs_, result);
+  return Shrink(bytes, covers, opts_.minimize_budget / 4, opts_.threads,
+                &execs_, result);
 }
 
 std::string Fuzzer::WriteCorpusFile(const char* prefix, uint64_t case_index,
@@ -212,7 +214,9 @@ int Fuzzer::Run(std::ostream& out) {
   for (uint64_t base = 0; base < opts_.runs && !stop; base += kBatch) {
     uint64_t n = std::min(kBatch, opts_.runs - base);
     // Inputs derive from the corpus as frozen here; RunCase is pure, so the
-    // fan-out below cannot observe merge order.
+    // fan-out below cannot observe merge order. One thread per case here;
+    // the serial merge path's shrinks fan each case's variants out instead,
+    // so ParallelFor never nests.
     std::vector<std::vector<uint8_t>> inputs(n);
     for (uint64_t i = 0; i < n; ++i) {
       inputs[i] = GenerateInput(base + i);
@@ -340,13 +344,14 @@ std::optional<std::vector<uint8_t>> LoadSeedFile(const std::string& path) {
   return bytes;
 }
 
-bool ReplaySeedFile(const std::string& path, std::ostream& out) {
+bool ReplaySeedFile(const std::string& path, std::ostream& out,
+                    unsigned threads) {
   std::optional<std::vector<uint8_t>> bytes = LoadSeedFile(path);
   if (!bytes.has_value()) {
     out << path << ": UNREADABLE (not a stackfuzz seed file)\n";
     return false;
   }
-  CaseResult r = RunCase(*bytes);
+  CaseResult r = RunCase(*bytes, threads);
   if (r.ok) {
     out << path << ": OK (" << r.execs << " stack runs)\n";
     return true;

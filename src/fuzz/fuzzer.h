@@ -5,10 +5,12 @@
 // wall-clock anything. The engine achieves this by working in fixed-size
 // batches: inputs for a batch are generated serially from per-case seeds
 // (DigestOf(master_seed, case_index)) against a corpus frozen at the start
-// of the batch, the pure RunCase calls fan out across threads, and results
-// merge serially in case order (coverage accounting, corpus growth,
-// minimization -- itself a sequence of pure re-runs -- and reporting all
-// happen on the merge path).
+// of the batch, the pure RunCase calls fan out across threads (one thread
+// per case), and results merge serially in case order (coverage accounting,
+// corpus growth, minimization and reporting all happen on the merge path).
+// Minimization is a sequence of pure re-runs; each one fans its case's
+// stack variants out across the threads, and RunCase returns the same
+// result at any thread count (see harness.h).
 
 #ifndef NEVE_SRC_FUZZ_FUZZER_H_
 #define NEVE_SRC_FUZZ_FUZZER_H_
@@ -26,7 +28,7 @@ namespace neve::fuzz {
 
 struct FuzzOptions {
   uint64_t seed = 1;
-  uint64_t runs = 1000;          // fuzz cases (each runs 2 or 4 stack variants)
+  uint64_t runs = 1000;          // fuzz cases (each runs 2 to 8 stack variants)
   unsigned threads = 1;
   std::string corpus_out;        // directory for seed files ("" = don't write)
   bool keep_going = false;       // keep fuzzing past the first oracle failure
@@ -79,9 +81,11 @@ void WriteSeedFile(const std::string& path, const std::vector<uint8_t>& bytes,
                    const std::string& comment);
 std::optional<std::vector<uint8_t>> LoadSeedFile(const std::string& path);
 
-// Replays one seed file through the oracle matrix; prints "<path>: OK" or
-// the failure. Returns true when every oracle passed.
-bool ReplaySeedFile(const std::string& path, std::ostream& out);
+// Replays one seed file through the oracle matrix, its stack variants fanned
+// out across `threads`; prints "<path>: OK" or the failure. Returns true when
+// every oracle passed.
+bool ReplaySeedFile(const std::string& path, std::ostream& out,
+                    unsigned threads = 1);
 
 }  // namespace neve::fuzz
 

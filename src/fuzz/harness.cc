@@ -6,6 +6,7 @@
 
 #include "src/arch/hcr.h"
 #include "src/base/digest.h"
+#include "src/base/parallel.h"
 #include "src/cpu/trap_rules.h"
 #include "src/gic/gic.h"
 #include "src/obs/coverage.h"
@@ -876,6 +877,18 @@ bool CompareCrossArch(const RunResult& v83, const RunResult& neve,
   return false;
 }
 
+// Runs every variant in one fan-out across `threads` workers into
+// index-addressed slots, so the caller reads the same results at any
+// thread count.
+std::vector<RunResult> RunVariants(const Program& p,
+                                   const std::vector<VariantSpec>& specs,
+                                   unsigned threads) {
+  std::vector<RunResult> runs(specs.size());
+  ParallelFor(specs.size(), threads,
+              [&](size_t i) { runs[i] = RunProgramVariant(p, specs[i]); });
+  return runs;
+}
+
 }  // namespace
 
 RunResult RunProgramVariant(const Program& program, const VariantSpec& v) {
@@ -885,7 +898,7 @@ RunResult RunProgramVariant(const Program& program, const VariantSpec& v) {
   return r;
 }
 
-CaseResult RunCase(const std::vector<uint8_t>& bytes) {
+CaseResult RunCase(const std::vector<uint8_t>& bytes, unsigned threads) {
   Program p = DecodeProgram(bytes);
   CaseResult out;
 
@@ -895,21 +908,33 @@ CaseResult RunCase(const std::vector<uint8_t>& bytes) {
                    .fault = p.cfg.fault_config};
     VariantSpec off = on;
     off.cache_enabled = false;
-    RunResult r_on = RunProgramVariant(p, on);
-    RunResult r_off = RunProgramVariant(p, off);
+    std::vector<RunResult> runs = RunVariants(p, {on, off}, threads);
     out.execs = 2;
-    AppendFeatures(r_on, &out);
-    CompareCachePair(r_on, r_off, p.cfg.fault_neve ? "neve,fault" : "v83,fault",
-                     &out);
+    AppendFeatures(runs[0], &out);
+    CompareCachePair(runs[0], runs[1],
+                     p.cfg.fault_neve ? "neve,fault" : "v83,fault", &out);
     return out;
   }
 
-  RunResult v83_on = RunProgramVariant(p, {.neve = false});
-  RunResult v83_off =
-      RunProgramVariant(p, {.neve = false, .cache_enabled = false});
-  RunResult nv_on = RunProgramVariant(p, {.neve = true});
-  RunResult nv_off =
-      RunProgramVariant(p, {.neve = true, .cache_enabled = false});
+  std::vector<VariantSpec> specs = {
+      {.neve = false},
+      {.neve = false, .cache_enabled = false},
+      {.neve = true},
+      {.neve = true, .cache_enabled = false}};
+  if (p.cfg.batch) {
+    specs.push_back({.neve = false, .batch = true});
+    specs.push_back({.neve = true, .batch = true});
+  }
+  if (p.cfg.snap_restore) {
+    specs.push_back({.neve = false, .snap_restore = true});
+    specs.push_back({.neve = true, .snap_restore = true});
+  }
+  std::vector<RunResult> runs = RunVariants(p, specs, threads);
+  const RunResult& v83_on = runs[0];
+  const RunResult& v83_off = runs[1];
+  const RunResult& nv_on = runs[2];
+  const RunResult& nv_off = runs[3];
+  size_t next = 4;
   out.execs = 4;
   AppendFeatures(v83_on, &out);
   AppendFeatures(nv_on, &out);
@@ -926,8 +951,8 @@ CaseResult RunCase(const std::vector<uint8_t>& bytes) {
   }
 
   if (p.cfg.batch) {
-    RunResult v83_b = RunProgramVariant(p, {.neve = false, .batch = true});
-    RunResult nv_b = RunProgramVariant(p, {.neve = true, .batch = true});
+    const RunResult& v83_b = runs[next++];
+    const RunResult& nv_b = runs[next++];
     out.execs += 2;
     if (TakeViolations(v83_b, &out) || TakeViolations(nv_b, &out)) {
       return out;
@@ -939,10 +964,8 @@ CaseResult RunCase(const std::vector<uint8_t>& bytes) {
   }
 
   if (p.cfg.snap_restore) {
-    RunResult v83_snap =
-        RunProgramVariant(p, {.neve = false, .snap_restore = true});
-    RunResult nv_snap =
-        RunProgramVariant(p, {.neve = true, .snap_restore = true});
+    const RunResult& v83_snap = runs[next++];
+    const RunResult& nv_snap = runs[next++];
     out.execs += 2;
     if (TakeViolations(v83_snap, &out) || TakeViolations(nv_snap, &out)) {
       return out;

@@ -105,7 +105,17 @@ struct CaseResult {
 //                 batched superblock engine enabled, under the same full-
 //                 identity demand (batching is a simulator fast path, like
 //                 the resolution cache).
-CaseResult RunCase(const std::vector<uint8_t>& bytes);
+//
+// Every variant the program needs (the fault pair, or the four base variants
+// plus the batch and snapshot-split pairs the header arms) runs first, fanned
+// out across `threads` workers; the oracles then check the results serially,
+// in the order above, stopping at the first failure. `execs` counts only the
+// variants whose oracle stage was reached (2 for the fault pair; otherwise
+// 4, +2 batch, +2 snap). The thread count never changes the result. Because
+// the batch and snap variants run before the base oracles are checked, a
+// case that fails a base oracle and would also panic in a later variant
+// aborts -- at every thread count.
+CaseResult RunCase(const std::vector<uint8_t>& bytes, unsigned threads = 1);
 
 }  // namespace neve::fuzz
 

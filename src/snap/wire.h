@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -59,8 +60,7 @@ inline constexpr uint32_t kSecDevs = 0x53564544;   // 'DEVS'
 
 class Writer {
  public:
-  Writer() {
-    buf_.insert(buf_.end(), kSnapMagic, kSnapMagic + sizeof(kSnapMagic));
+  Writer() : buf_(std::begin(kSnapMagic), std::end(kSnapMagic)) {
     PutU32(kSnapVersion);
     count_at_ = buf_.size();
     PutU32(0);  // section count, patched by Finish()

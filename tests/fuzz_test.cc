@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -364,6 +366,38 @@ TEST(HarnessTest, Vel2GoldenDistinguishesEl12AliasFromEl1Direct) {
   EXPECT_TRUE(r.ok) << r.failure;
 }
 
+TEST(HarnessTest, RunCaseIsIdenticalAcrossThreadCounts) {
+  // Fanning a case's stack variants out across threads must not change its
+  // verdict, exec count or features. The checked-in corpus spans every case
+  // shape: fault pairs, batch and snapshot-split pairs, and SMP receivers.
+  std::vector<std::filesystem::path> seeds;
+  for (const auto& e : std::filesystem::directory_iterator(
+           std::string(NEVE_SOURCE_DIR) + "/tests/corpus")) {
+    if (e.path().extension() == ".seed") {
+      seeds.push_back(e.path());
+    }
+  }
+  std::sort(seeds.begin(), seeds.end());
+  bool fault = false, batch = false, snap = false, smp = false;
+  for (const std::filesystem::path& path : seeds) {
+    std::optional<std::vector<uint8_t>> bytes = LoadSeedFile(path.string());
+    ASSERT_TRUE(bytes.has_value()) << path;
+    CaseConfig cfg = DecodeProgram(*bytes).cfg;
+    fault |= cfg.fault;
+    batch |= cfg.batch;
+    snap |= cfg.snap_restore;
+    smp |= cfg.smp;
+    CaseResult serial = RunCase(*bytes, 1);
+    CaseResult fanned = RunCase(*bytes, 4);
+    EXPECT_EQ(serial.ok, fanned.ok) << path;
+    EXPECT_EQ(serial.failure, fanned.failure) << path;
+    EXPECT_EQ(serial.execs, fanned.execs) << path;
+    EXPECT_EQ(serial.features, fanned.features) << path;
+  }
+  EXPECT_TRUE(fault && batch && snap && smp)
+      << "tests/corpus no longer covers every case shape";
+}
+
 // --- engine determinism ------------------------------------------------------
 
 TEST(FuzzerTest, ReportIsIdenticalAcrossThreadCounts) {
@@ -383,6 +417,10 @@ TEST(FuzzerTest, ReportIsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.coverage_bits(), b.coverage_bits());
   EXPECT_EQ(a.corpus_size(), b.corpus_size());
   EXPECT_EQ(a.execs(), b.execs());
+  // The campaign's exec count (the unit of fuzzing work) as it was before
+  // RunCase fanned its variants out: fanning out must not change what is
+  // run or counted.
+  EXPECT_EQ(a.execs(), 1154u);
 }
 
 // --- seed files --------------------------------------------------------------

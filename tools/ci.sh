@@ -8,8 +8,9 @@
 #   tools/ci.sh tsan       ThreadSanitizer build + the multithreaded
 #                          workloads: bench fan-out, obsreport and stackfuzz
 #                          at --threads=8, a --threads byte-identity
-#                          check on the bench output, and the mem_test and
-#                          lock_order_test stress tests
+#                          check on the bench output, the mem_test and
+#                          lock_order_test stress tests, and fuzz_test (one
+#                          case's stack variants on concurrent threads)
 #   tools/ci.sh tidy       clang-tidy over src/ (skipped when not installed)
 #   tools/ci.sh smoke      simcore_gbench smoke (BENCH_simcore.json), the
 #                          guest-ops/sec perf ratchet (tools/perf_ratchet.txt)
@@ -101,7 +102,7 @@ run_tsan() {
     "-DNEVE_SANITIZE=thread" >/dev/null
   cmake --build "$build_dir" -j "$JOBS" --target \
     table1_micro_v83 fig2_applications smp_hackbench obsreport \
-    stackfuzz mem_test lock_order_test >/dev/null
+    stackfuzz mem_test lock_order_test fuzz_test >/dev/null
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"; trap - RETURN' RETURN
@@ -126,10 +127,12 @@ run_tsan() {
     --corpus-out="$tmp/corpus" >/dev/null
   # The stress tests for the lock-free fast paths: eight threads
   # first-touching one PhysMem's page directory, and the lock-order
-  # detector's per-thread edge cache.
-  echo "==> [tsan] mem_test + lock_order_test"
+  # detector's per-thread edge cache. fuzz_test runs one case's stack
+  # variants on concurrent threads under its own assertions.
+  echo "==> [tsan] mem_test + lock_order_test + fuzz_test"
   "$build_dir/tests/mem_test" >/dev/null
   "$build_dir/tests/lock_order_test" >/dev/null
+  "$build_dir/tests/fuzz_test" >/dev/null
   echo "==> [tsan] OK"
 }
 
@@ -244,7 +247,7 @@ run_fuzz() {
     cmake --build "$build_dir" -j "$JOBS" --target stackfuzz >/dev/null
   fi
   echo "==> [fuzz] replay regression corpus"
-  "$build_dir/tools/stackfuzz" --replay="$ROOT/tests/corpus"
+  "$build_dir/tools/stackfuzz" --replay="$ROOT/tests/corpus" --threads="$JOBS"
   echo "==> [fuzz] determinism: report/corpus identical across --threads"
   bash "$ROOT/tools/stackfuzz.sh" "$build_dir"
   echo "==> [fuzz] campaign: seed=$seed runs=$runs"

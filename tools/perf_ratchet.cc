@@ -1,7 +1,7 @@
 // Enforces the perf floors in tools/perf_ratchet.txt against one or more
 // google-benchmark JSON files (simcore_gbench --json=<path>).
 //
-//   $ ./build/tools/perf_ratchet tools/perf_ratchet.txt BENCH_simcore.json \
+//   $ ./build/tools/perf_ratchet tools/perf_ratchet.txt BENCH_simcore.json
 //         [more.json ...]
 //
 // Passing several JSON files makes the check best-of-N: each benchmark's

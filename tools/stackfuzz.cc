@@ -7,10 +7,11 @@
 // (seed, runs) regardless of --threads (see src/fuzz/fuzzer.h).
 //
 // Replay mode:
-//   stackfuzz --replay=FILE_OR_DIR [--replay=...]
+//   stackfuzz --replay=FILE_OR_DIR [--replay=...] [--threads=N]
 // Replays checked-in corpus seeds through the full oracle matrix; exits
 // non-zero when any oracle fails. Directories replay every *.seed inside,
-// sorted by name.
+// sorted by name. Seeds replay one after another, in that order; --threads
+// fans each seed's stack variants out, and never changes the output.
 
 #include <algorithm>
 #include <cstdint>
@@ -35,7 +36,8 @@ int Usage() {
   std::fprintf(stderr,
                "usage: stackfuzz --seed=N --runs=N [--threads=N]\n"
                "                 [--corpus-out=DIR] [--keep-going]\n"
-               "       stackfuzz --replay=FILE_OR_DIR [--replay=...]\n");
+               "       stackfuzz --replay=FILE_OR_DIR [--replay=...]"
+               " [--threads=N]\n");
   return 2;
 }
 
@@ -89,7 +91,7 @@ int main(int argc, char** argv) {
     }
     int failed = 0;
     for (const std::string& f : files) {
-      if (!neve::fuzz::ReplaySeedFile(f, std::cout)) {
+      if (!neve::fuzz::ReplaySeedFile(f, std::cout, opts.threads)) {
         ++failed;
       }
     }
