@@ -36,6 +36,7 @@ struct ArchFeatures {
   }
 
   constexpr bool Valid() const { return !neve || nv; }
+  bool operator==(const ArchFeatures&) const = default;
 };
 
 }  // namespace neve

@@ -43,6 +43,8 @@ struct HostKvmConfig {
   bool vhe = false;
   // Program hardware VNCR_EL2 for guest hypervisors on NEVE machines.
   bool use_neve = true;
+
+  bool operator==(const HostKvmConfig&) const = default;
 };
 
 class HostKvm : public El2Host {
