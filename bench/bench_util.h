@@ -37,79 +37,59 @@ inline void PrintHeader(const char* title, const char* paper_ref) {
   std::printf("    units: simulated cycles (see DESIGN.md section 1)\n\n");
 }
 
-// Extracts the value of a --json=<path> argument, or "" when absent. Every
-// bench accepts this flag and mirrors its printed table into a machine-
-// readable BENCH_<name>.json (schema: src/obs/report.h). Repeated flags
-// behave like standard CLI flags: the last one wins.
-inline std::string JsonOutPath(int argc, char** argv) {
-  constexpr const char kFlag[] = "--json=";
-  std::string path;
+// The value of the last argument that starts with `flag` (spelled with its
+// "=", e.g. "--json="), or "" when there is none. Repeated flags behave like
+// standard CLI flags: the last one wins. Every caller treats an empty value
+// as absent.
+inline std::string FlagValue(int argc, char** argv, const char* flag) {
+  const size_t len = std::strlen(flag);
+  std::string value;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      path = argv[i] + sizeof(kFlag) - 1;
+    if (std::strncmp(argv[i], flag, len) == 0) {
+      value = argv[i] + len;
     }
   }
-  return path;
+  return value;
 }
 
-// Worker count for the parallel bench harness: --threads=N (last flag wins,
-// like --json); absent or 0 means "pick for me" (DefaultBenchThreads).
-// --threads=1 forces the serial path. Results are identical either way --
-// each cell runs its own Machine, and the tables print after the join.
+// The --json=<path> argument, or "" when absent. Every bench accepts this
+// flag and mirrors its printed table into a machine-readable
+// BENCH_<name>.json (schema: src/obs/report.h).
+inline std::string JsonOutPath(int argc, char** argv) {
+  return FlagValue(argc, argv, "--json=");
+}
+
+// Worker count for the parallel bench harness: --threads=N; absent or 0
+// means "pick for me" (DefaultBenchThreads). --threads=1 forces the serial
+// path. Results are identical either way -- each cell runs its own Machine,
+// and the tables print after the join.
 inline unsigned ThreadsFromArgs(int argc, char** argv) {
-  constexpr const char kFlag[] = "--threads=";
-  unsigned threads = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      threads =
-          static_cast<unsigned>(std::strtoul(argv[i] + sizeof(kFlag) - 1,
-                                             nullptr, 10));
-    }
-  }
+  const auto threads = static_cast<unsigned>(std::strtoul(
+      FlagValue(argc, argv, "--threads=").c_str(), nullptr, 10));
   return threads == 0 ? DefaultBenchThreads() : threads;
 }
 
-// Batched superblock execution (src/sim/batch): --batch=on|off, last flag
-// wins, default on (batching is the production path and byte-identical by
-// the engine's design invariant). "off" forces the pure per-op interpreter
-// everywhere -- the baseline half of every batched-vs-interpreted pair and
-// the escape hatch if a batching bug is ever suspected.
+// Batched superblock execution (src/sim/batch): --batch=on|off, default on
+// (batching is the production path and byte-identical by the engine's
+// design invariant). "off" forces the pure per-op interpreter everywhere --
+// the baseline half of every batched-vs-interpreted pair and the escape
+// hatch if a batching bug is ever suspected.
 inline bool BatchFromArgs(int argc, char** argv) {
-  constexpr const char kFlag[] = "--batch=";
-  bool batch = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      batch = std::strcmp(argv[i] + sizeof(kFlag) - 1, "off") != 0;
-    }
-  }
-  return batch;
+  return FlagValue(argc, argv, "--batch=") != "off";
 }
 
-// Fault-injection campaign seed: --fault-seed=N (last flag wins). 0 (the
-// default) leaves injection disabled so every bench stays byte-identical to
-// its uninstrumented behavior unless a campaign is explicitly requested.
+// Fault-injection campaign seed: --fault-seed=N. 0 (the default) leaves
+// injection disabled so every bench stays byte-identical to its
+// uninstrumented behavior unless a campaign is explicitly requested.
 inline uint64_t FaultSeedFromArgs(int argc, char** argv) {
-  constexpr const char kFlag[] = "--fault-seed=";
-  uint64_t seed = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      seed = std::strtoull(argv[i] + sizeof(kFlag) - 1, nullptr, 10);
-    }
-  }
-  return seed;
+  return std::strtoull(FlagValue(argc, argv, "--fault-seed=").c_str(),
+                       nullptr, 10);
 }
 
-// Per-opportunity injection probability: --fault-rate=R in [0,1] (last flag
-// wins); defaults to 0.
+// Per-opportunity injection probability: --fault-rate=R in [0,1]; defaults
+// to 0.
 inline double FaultRateFromArgs(int argc, char** argv) {
-  constexpr const char kFlag[] = "--fault-rate=";
-  double rate = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      rate = std::strtod(argv[i] + sizeof(kFlag) - 1, nullptr);
-    }
-  }
-  return rate;
+  return std::strtod(FlagValue(argc, argv, "--fault-rate=").c_str(), nullptr);
 }
 
 // Assembles a fault campaign from the two flags above. The campaign is

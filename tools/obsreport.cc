@@ -73,17 +73,6 @@ int Usage() {
   return 1;
 }
 
-std::string FlagValue(int argc, char** argv, const char* flag) {
-  size_t len = std::strlen(flag);
-  std::string value;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], flag, len) == 0) {
-      value = argv[i] + len;
-    }
-  }
-  return value;
-}
-
 bool HasFlag(int argc, char** argv, const char* flag) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], flag) == 0) {
