@@ -13,248 +13,23 @@
 //    "context" object plus a non-empty "benchmarks" array whose elements
 //    each carry a string "name" and numeric "real_time"/"cpu_time".
 //
-// The parser here is written from scratch on purpose: validating the
-// emitter with the emitter's own code would prove nothing. Registered in
-// ctest behind the bench_json fixture (bench/CMakeLists.txt), so `ctest`
-// exercises the full emit -> parse -> validate loop every run.
+// Parsing uses src/obs/json, the strict reader obsreport uses. It shares no
+// code with the emitter (JsonWriter, src/obs/report.cc), so the check stays
+// independent of what it checks. Registered in ctest behind the bench_json
+// fixture (bench/CMakeLists.txt), so `ctest` exercises the full emit ->
+// parse -> validate loop every run.
 
-#include <cctype>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
+
+#include "src/obs/json.h"
 
 namespace {
 
-// --- a minimal JSON document model ------------------------------------------
-
-struct JsonValue;
-using JsonPtr = std::unique_ptr<JsonValue>;
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string string;
-  std::vector<JsonPtr> array;
-  std::map<std::string, JsonPtr> object;
-
-  bool IsNumber() const { return kind == Kind::kNumber; }
-  bool IsString() const { return kind == Kind::kString; }
-  const JsonValue* Get(const std::string& key) const {
-    auto it = object.find(key);
-    return it != object.end() ? it->second.get() : nullptr;
-  }
-};
-
-// --- recursive-descent parser ------------------------------------------------
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  JsonPtr Parse(std::string* error) {
-    JsonPtr v = ParseValue();
-    SkipWs();
-    if (v == nullptr || pos_ != text_.size()) {
-      *error = error_.empty() ? "trailing garbage after document" : error_;
-      return nullptr;
-    }
-    return v;
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Fail(const std::string& what) {
-    if (error_.empty()) {
-      error_ = what + " at offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return Fail(std::string("expected '") + c + "'");
-  }
-
-  bool ConsumeLiteral(const char* lit) {
-    size_t n = std::string(lit).size();
-    if (text_.compare(pos_, n, lit) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return Fail(std::string("expected ") + lit);
-  }
-
-  JsonPtr ParseValue() {
-    SkipWs();
-    if (pos_ >= text_.size()) {
-      Fail("unexpected end of input");
-      return nullptr;
-    }
-    char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
-      case '"':
-        return ParseString();
-      case 't': {
-        if (!ConsumeLiteral("true")) return nullptr;
-        auto v = std::make_unique<JsonValue>();
-        v->kind = JsonValue::Kind::kBool;
-        v->boolean = true;
-        return v;
-      }
-      case 'f': {
-        if (!ConsumeLiteral("false")) return nullptr;
-        auto v = std::make_unique<JsonValue>();
-        v->kind = JsonValue::Kind::kBool;
-        return v;
-      }
-      case 'n': {
-        if (!ConsumeLiteral("null")) return nullptr;
-        return std::make_unique<JsonValue>();
-      }
-      default:
-        return ParseNumber();
-    }
-  }
-
-  JsonPtr ParseObject() {
-    if (!Consume('{')) return nullptr;
-    auto v = std::make_unique<JsonValue>();
-    v->kind = JsonValue::Kind::kObject;
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      JsonPtr key = ParseString();
-      if (key == nullptr || !Consume(':')) return nullptr;
-      JsonPtr val = ParseValue();
-      if (val == nullptr) return nullptr;
-      v->object[key->string] = std::move(val);
-      SkipWs();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (!Consume('}')) return nullptr;
-      return v;
-    }
-  }
-
-  JsonPtr ParseArray() {
-    if (!Consume('[')) return nullptr;
-    auto v = std::make_unique<JsonValue>();
-    v->kind = JsonValue::Kind::kArray;
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      JsonPtr elem = ParseValue();
-      if (elem == nullptr) return nullptr;
-      v->array.push_back(std::move(elem));
-      SkipWs();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (!Consume(']')) return nullptr;
-      return v;
-    }
-  }
-
-  JsonPtr ParseString() {
-    if (!Consume('"')) return nullptr;
-    auto v = std::make_unique<JsonValue>();
-    v->kind = JsonValue::Kind::kString;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c != '\\') {
-        v->string.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': v->string.push_back('"'); break;
-        case '\\': v->string.push_back('\\'); break;
-        case '/': v->string.push_back('/'); break;
-        case 'n': v->string.push_back('\n'); break;
-        case 't': v->string.push_back('\t'); break;
-        case 'r': v->string.push_back('\r'); break;
-        case 'b': v->string.push_back('\b'); break;
-        case 'f': v->string.push_back('\f'); break;
-        case 'u':
-          // \uXXXX: accept and substitute '?' -- the schema fields we
-          // validate never need non-ASCII round-tripping.
-          if (pos_ + 4 > text_.size()) {
-            Fail("truncated \\u escape");
-            return nullptr;
-          }
-          pos_ += 4;
-          v->string.push_back('?');
-          break;
-        default:
-          Fail("bad escape");
-          return nullptr;
-      }
-    }
-    if (pos_ >= text_.size()) {
-      Fail("unterminated string");
-      return nullptr;
-    }
-    ++pos_;  // closing quote
-    return v;
-  }
-
-  JsonPtr ParseNumber() {
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      Fail("expected a value");
-      return nullptr;
-    }
-    auto v = std::make_unique<JsonValue>();
-    v->kind = JsonValue::Kind::kNumber;
-    try {
-      v->number = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      Fail("malformed number");
-      return nullptr;
-    }
-    return v;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  std::string error_;
-};
+using neve::JsonValue;
 
 // --- schema checks -----------------------------------------------------------
 
@@ -271,42 +46,43 @@ struct Checker {
 };
 
 bool IsNumberOrNull(const JsonValue* v) {
-  return v == nullptr || v->IsNumber() ||
-         v->kind == JsonValue::Kind::kNull;
+  return v == nullptr || v->is_number() || v->is_null();
+}
+
+bool IsNonEmptyString(const JsonValue* v) {
+  return v != nullptr && v->is_string() && !v->AsString().empty();
 }
 
 // google-benchmark reporter output, as produced by simcore_gbench --json=.
 int CheckGoogleBenchmark(Checker& c, const JsonValue& doc) {
-  const JsonValue* context = doc.Get("context");
-  c.Require(context != nullptr &&
-                context->kind == JsonValue::Kind::kObject,
+  const JsonValue* context = doc.Find("context");
+  c.Require(context != nullptr && context->is_object(),
             "context missing or not an object");
-  const JsonValue* benches = doc.Get("benchmarks");
-  c.Require(benches != nullptr && benches->kind == JsonValue::Kind::kArray &&
-                !benches->array.empty(),
+  const JsonValue* benches = doc.Find("benchmarks");
+  c.Require(benches != nullptr && benches->is_array() &&
+                !benches->Items().empty(),
             "benchmarks missing or empty");
-  if (benches != nullptr && benches->kind == JsonValue::Kind::kArray) {
+  if (benches != nullptr && benches->is_array()) {
     size_t i = 0;
-    for (const JsonPtr& b : benches->array) {
+    for (const JsonValue& b : benches->Items()) {
       std::string where = "benchmarks[" + std::to_string(i++) + "]";
-      if (b->kind != JsonValue::Kind::kObject) {
+      if (!b.is_object()) {
         c.Require(false, where + " is not an object");
         continue;
       }
-      const JsonValue* name = b->Get("name");
-      c.Require(name != nullptr && name->IsString() && !name->string.empty(),
+      c.Require(IsNonEmptyString(b.Find("name")),
                 where + ".name missing or empty");
-      const JsonValue* real_time = b->Get("real_time");
-      c.Require(real_time != nullptr && real_time->IsNumber(),
+      const JsonValue* real_time = b.Find("real_time");
+      c.Require(real_time != nullptr && real_time->is_number(),
                 where + ".real_time missing or not a number");
-      const JsonValue* cpu_time = b->Get("cpu_time");
-      c.Require(cpu_time != nullptr && cpu_time->IsNumber(),
+      const JsonValue* cpu_time = b.Find("cpu_time");
+      c.Require(cpu_time != nullptr && cpu_time->is_number(),
                 where + ".cpu_time missing or not a number");
     }
   }
   if (c.failures == 0) {
     std::printf("%s: OK (%zu benchmarks, google-benchmark schema)\n", c.path,
-                benches != nullptr ? benches->array.size() : 0);
+                benches != nullptr ? benches->Items().size() : 0);
   }
   return c.failures;
 }
@@ -322,7 +98,7 @@ int CheckFile(const char* path) {
   std::string text = buf.str();
 
   std::string error;
-  JsonPtr doc = Parser(text).Parse(&error);
+  std::unique_ptr<JsonValue> doc = JsonValue::Parse(text, &error);
   if (doc == nullptr) {
     std::fprintf(stderr, "%s: FAIL: not valid JSON: %s\n", path,
                  error.c_str());
@@ -330,56 +106,52 @@ int CheckFile(const char* path) {
   }
 
   Checker c{path};
-  c.Require(doc->kind == JsonValue::Kind::kObject, "top level is not an object");
-  if (doc->kind != JsonValue::Kind::kObject) {
+  c.Require(doc->is_object(), "top level is not an object");
+  if (!doc->is_object()) {
     return c.failures;
   }
 
-  if (doc->Get("benchmarks") != nullptr) {
+  if (doc->Find("benchmarks") != nullptr) {
     return CheckGoogleBenchmark(c, *doc);
   }
 
-  const JsonValue* version = doc->Get("schema_version");
-  c.Require(version != nullptr && version->IsNumber() && version->number == 1,
+  const JsonValue* version = doc->Find("schema_version");
+  c.Require(version != nullptr && version->is_number() &&
+                version->AsDouble() == 1,
             "schema_version missing or != 1");
-  const JsonValue* bench = doc->Get("bench");
-  c.Require(bench != nullptr && bench->IsString() && !bench->string.empty(),
-            "bench missing or empty");
-  const JsonValue* units = doc->Get("units");
-  c.Require(units != nullptr && units->IsString() && !units->string.empty(),
-            "units missing or empty");
+  c.Require(IsNonEmptyString(doc->Find("bench")), "bench missing or empty");
+  c.Require(IsNonEmptyString(doc->Find("units")), "units missing or empty");
 
-  const JsonValue* entries = doc->Get("entries");
-  c.Require(entries != nullptr && entries->kind == JsonValue::Kind::kArray &&
-                !entries->array.empty(),
+  const JsonValue* entries = doc->Find("entries");
+  c.Require(entries != nullptr && entries->is_array() &&
+                !entries->Items().empty(),
             "entries missing or empty");
-  if (entries != nullptr && entries->kind == JsonValue::Kind::kArray) {
+  if (entries != nullptr && entries->is_array()) {
     size_t i = 0;
-    for (const JsonPtr& e : entries->array) {
+    for (const JsonValue& e : entries->Items()) {
       std::string where = "entries[" + std::to_string(i++) + "]";
-      if (e->kind != JsonValue::Kind::kObject) {
+      if (!e.is_object()) {
         c.Require(false, where + " is not an object");
         continue;
       }
-      const JsonValue* name = e->Get("name");
-      c.Require(name != nullptr && name->IsString() && !name->string.empty(),
+      c.Require(IsNonEmptyString(e.Find("name")),
                 where + ".name missing or empty");
-      const JsonValue* measured = e->Get("measured");
-      c.Require(measured != nullptr && measured->IsNumber(),
+      const JsonValue* measured = e.Find("measured");
+      c.Require(measured != nullptr && measured->is_number(),
                 where + ".measured missing or not a number");
-      c.Require(IsNumberOrNull(e->Get("paper")),
+      c.Require(IsNumberOrNull(e.Find("paper")),
                 where + ".paper is neither number nor null");
-      c.Require(IsNumberOrNull(e->Get("delta_pct")),
+      c.Require(IsNumberOrNull(e.Find("delta_pct")),
                 where + ".delta_pct is neither number nor null");
-      const JsonValue* traps = e->Get("traps_per_op");
-      c.Require(traps == nullptr || traps->IsNumber(),
+      const JsonValue* traps = e.Find("traps_per_op");
+      c.Require(traps == nullptr || traps->is_number(),
                 where + ".traps_per_op is not a number");
     }
   }
 
   if (c.failures == 0) {
     std::printf("%s: OK (%zu entries)\n", path,
-                entries != nullptr ? entries->array.size() : 0);
+                entries != nullptr ? entries->Items().size() : 0);
   }
   return c.failures;
 }
