@@ -138,7 +138,7 @@ run_tsan() {
 
 # Perf + serialization smoke on the Release build: run the simulator-core
 # microbenchmarks into BENCH_simcore.json, validate the JSON with the
-# from-scratch checker, enforce the guest-ops/sec floors against the batch
+# schema checker, enforce the guest-ops/sec floors against the batch
 # engine (tools/perf_ratchet.txt; two extra GuestOpsBurst-only runs make the
 # check best-of-3 so one noisy run can't flake it), and prove the resolution
 # fast-path cache is behaviour-preserving by byte-comparing archlint's full
