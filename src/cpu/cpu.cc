@@ -35,6 +35,9 @@ class S2TranslatingView : public MemIo {
   void Write64(Pa, uint64_t) override {
     NEVE_CHECK_MSG(false, "table walker never writes");
   }
+  void Write64Run(Pa, std::span<const uint64_t>) override {
+    NEVE_CHECK_MSG(false, "table walker never writes");
+  }
   void ZeroPage(Pa) override { NEVE_CHECK(false); }
   bool Contains(Pa, uint64_t) const override { return true; }
 

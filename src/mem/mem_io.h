@@ -11,6 +11,7 @@
 #define NEVE_SRC_MEM_MEM_IO_H_
 
 #include <cstdint>
+#include <span>
 
 #include "src/mem/addr.h"
 
@@ -22,6 +23,10 @@ class MemIo {
 
   virtual uint64_t Read64(Pa pa) const = 0;
   virtual void Write64(Pa pa, uint64_t value) = 0;
+  // Writes words[i] to pa + 8 * i: the same bytes as one Write64 per word.
+  // The run may not cross a page (page-table builders write one table's
+  // slots at a time).
+  virtual void Write64Run(Pa pa, std::span<const uint64_t> words) = 0;
   virtual void ZeroPage(Pa page_base) = 0;
   virtual bool Contains(Pa pa, uint64_t bytes) const = 0;
 };

@@ -1,5 +1,9 @@
 #include "src/mem/page_table.h"
 
+#include <algorithm>
+#include <array>
+#include <span>
+
 #include "src/base/bits.h"
 #include "src/base/status.h"
 
@@ -45,24 +49,36 @@ std::optional<Pa> PageTable::DescSlot(uint64_t input_addr, bool create) {
 
 void PageTable::MapPage(uint64_t input_page_addr, Pa output_page,
                         PagePerms perms) {
-  MutexLock lock(mu_);
-  MapPageLocked(input_page_addr, output_page, perms);
-}
-
-void PageTable::MapPageLocked(uint64_t input_page_addr, Pa output_page,
-                              PagePerms perms) {
   NEVE_CHECK(IsAligned(input_page_addr, kPageSize));
   NEVE_CHECK(IsAligned(output_page.value, kPageSize));
+  MutexLock lock(mu_);
   std::optional<Pa> slot = DescSlot(input_page_addr, /*create=*/true);
   mem_->Write64(*slot, MakePageDesc(output_page, perms));
 }
 
 void PageTable::MapRange(uint64_t input_start, Pa output_start, uint64_t size,
                          PagePerms perms) {
+  NEVE_CHECK(IsAligned(input_start, kPageSize));
+  NEVE_CHECK(IsAligned(output_start.value, kPageSize));
   NEVE_CHECK(IsAligned(size, kPageSize));
   MutexLock lock(mu_);
-  for (uint64_t off = 0; off < size; off += kPageSize) {
-    MapPageLocked(input_start + off, Pa(output_start.value + off), perms);
+  std::array<uint64_t, kTableEntries> descs{};
+  uint64_t pages = size >> kPageShift;
+  for (uint64_t page = 0; page < pages;) {
+    uint64_t input = input_start + (page << kPageShift);
+    // The run ends at the level-3 table's last slot or at the range's end.
+    // Every page of a run shares the path to that table, so the first
+    // page's walk allocates whatever the per-page walks would have, in the
+    // same order.
+    uint64_t run =
+        std::min(kTableEntries - LevelIndex(input, 3), pages - page);
+    for (uint64_t i = 0; i < run; ++i) {
+      descs[i] = MakePageDesc(
+          Pa(output_start.value + ((page + i) << kPageShift)), perms);
+    }
+    std::optional<Pa> slot = DescSlot(input, /*create=*/true);
+    mem_->Write64Run(*slot, std::span<const uint64_t>(descs.data(), run));
+    page += run;
   }
 }
 

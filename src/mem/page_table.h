@@ -90,7 +90,12 @@ class PageTable {
   // existing mapping for the page.
   void MapPage(uint64_t input_page_addr, Pa output_page, PagePerms perms);
 
-  // Maps a contiguous range (both addresses page-aligned, identity offset).
+  // Maps [input_start, input_start + size) to the same-sized range at
+  // output_start with perms, overwriting existing mappings. All three
+  // arguments must be page-aligned (aborts otherwise). Leaves memory exactly
+  // as one MapPage per page in ascending order would: the same table pages,
+  // allocated in the same order, holding the same descriptors. It walks to
+  // each level-3 table once and writes that table's run of slots at once.
   void MapRange(uint64_t input_start, Pa output_start, uint64_t size,
                 PagePerms perms);
 
@@ -105,14 +110,17 @@ class PageTable {
   static WalkResult WalkFrom(const MemIo& mem, Pa root, uint64_t input_addr,
                              bool is_write);
 
-  // Number of descriptor loads the last Walk performed (for TLB-miss cycle
-  // costing). A complete 4-level walk is 4 loads.
+  // Descriptor loads in a complete walk, one per level (for TLB-miss cycle
+  // costing, which charges every walk as complete).
   static constexpr int kWalkLevels = 4;
 
  private:
+  // Descriptors per table: one 4 KB page of 8-byte slots.
+  static constexpr uint64_t kTableEntries = kPageSize / 8;
+
   static int LevelShift(int level) { return 12 + 9 * (3 - level); }
   static uint64_t LevelIndex(uint64_t addr, int level) {
-    return (addr >> LevelShift(level)) & 0x1FF;
+    return (addr >> LevelShift(level)) & (kTableEntries - 1);
   }
 
   // Descriptor helpers.
@@ -124,8 +132,6 @@ class PageTable {
   static uint64_t MakePageDesc(Pa page, PagePerms perms);
   static PagePerms DescPerms(uint64_t d);
 
-  void MapPageLocked(uint64_t input_page_addr, Pa output_page,
-                     PagePerms perms) REQUIRES(mu_);
   // Returns the PA of the level-3 descriptor slot for input_addr, allocating
   // intermediate tables when `create` is set; nullopt when absent.
   std::optional<Pa> DescSlot(uint64_t input_addr, bool create) REQUIRES(mu_);

@@ -10,7 +10,9 @@ namespace neve {
 
 PhysMem::PhysMem(uint64_t size_bytes) : size_(size_bytes) {
   NEVE_CHECK_MSG(IsAligned(size_bytes, kPageSize), "size must be page aligned");
-  dir_ = std::make_unique<std::atomic<Page*>[]>(size_bytes >> kPageShift);
+  uint64_t pages = size_bytes >> kPageShift;
+  dir_ = std::make_unique<std::atomic<Chunk*>[]>(
+      (pages + kChunkPages - 1) / kChunkPages);
 }
 
 void PhysMem::CheckRange(Pa pa, uint64_t bytes) const {
@@ -29,14 +31,21 @@ void PhysMem::CheckPageIndex(uint64_t page_index) const {
 }
 
 PhysMem::Page& PhysMem::PageFor(Pa pa) {
-  Page* page = dir_[pa.PageIndex()].load(std::memory_order_acquire);
+  Page* page = LoadPage(pa.PageIndex());
   return page != nullptr ? *page : Materialize(pa.PageIndex());
 }
 
 PhysMem::Page& PhysMem::Materialize(uint64_t page_index) {
   MutexLock lock(pages_mu_);
-  // Another lane may have published the page since the caller's load.
-  std::atomic<Page*>& slot = dir_[page_index];
+  // Another lane may have published the chunk or the page since the
+  // caller's loads.
+  std::atomic<Chunk*>& chunk_slot = dir_[page_index / kChunkPages];
+  Chunk* chunk = chunk_slot.load(std::memory_order_acquire);
+  if (chunk == nullptr) {
+    chunk = chunks_.emplace_back(std::make_unique<Chunk>()).get();
+    chunk_slot.store(chunk, std::memory_order_release);
+  }
+  std::atomic<Page*>& slot = (*chunk)[page_index % kChunkPages];
   if (Page* page = slot.load(std::memory_order_acquire)) {
     return *page;
   }
@@ -63,7 +72,7 @@ std::vector<uint64_t> PhysMem::ResidentPageIndices() const {
 bool PhysMem::ReadPage(uint64_t page_index,
                        std::array<uint8_t, kPageSize>* out) const {
   CheckPageIndex(page_index);
-  const Page* page = dir_[page_index].load(std::memory_order_acquire);
+  const Page* page = LoadPage(page_index);
   if (page == nullptr) {
     return false;
   }
@@ -83,7 +92,11 @@ void PhysMem::WritePage(uint64_t page_index, const uint8_t* data) {
 void PhysMem::DropPage(uint64_t page_index) {
   CheckPageIndex(page_index);
   MutexLock lock(pages_mu_);
-  dir_[page_index].store(nullptr, std::memory_order_release);
+  if (Chunk* chunk =
+          dir_[page_index / kChunkPages].load(std::memory_order_acquire)) {
+    (*chunk)[page_index % kChunkPages].store(nullptr,
+                                             std::memory_order_release);
+  }
   resident_.erase(page_index);
   if (dirty_enabled_) {
     dirty_.insert(page_index);
@@ -117,6 +130,15 @@ uint64_t PhysMem::Read64(Pa pa) const {
 void PhysMem::Write64(Pa pa, uint64_t value) {
   CheckRange(pa, 8);
   std::memcpy(PageFor(pa).data() + pa.PageOffset(), &value, 8);
+  if (dirty_enabled_) {
+    MarkDirty(pa.PageIndex());
+  }
+}
+
+void PhysMem::Write64Run(Pa pa, std::span<const uint64_t> words) {
+  CheckRange(pa, words.size_bytes());
+  std::memcpy(PageFor(pa).data() + pa.PageOffset(), words.data(),
+              words.size_bytes());
   if (dirty_enabled_) {
     MarkDirty(pa.PageIndex());
   }

@@ -2,10 +2,14 @@
 //
 // Pages materialize on first touch; the simulator never cares about the
 // host's memory layout, only that every PA within the configured size reads
-// back what was last written. A flat directory with one slot per page makes
-// finding a page arithmetic plus one atomic load, with no lock. A bump
-// allocator hands out fresh pages for page tables, deferred access pages,
-// and guest RAM carve-outs.
+// back what was last written. A two-level directory finds a page with
+// arithmetic plus two atomic loads and no lock: one slot per 2 MB of PA
+// points to a chunk of 512 page slots, and a chunk too is allocated on the
+// first touch of one of its pages, so an idle Machine costs a directory of
+// a few KB rather than one slot per page. PageAllocator, a bump allocator,
+// hands out zeroed pages for page tables and deferred access pages; guest
+// RAM is carved out elsewhere (Machine::AllocGuestRam for the host's VMs,
+// GuestKvm's nested-RAM cursor for a guest hypervisor's).
 
 #ifndef NEVE_SRC_MEM_PHYS_MEM_H_
 #define NEVE_SRC_MEM_PHYS_MEM_H_
@@ -16,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/base/mutex.h"
@@ -41,6 +46,8 @@ class PhysMem : public MemIo {
 
   uint64_t Read64(Pa pa) const override;
   void Write64(Pa pa, uint64_t value) override;
+  // One range check, one copy and one dirty mark for the whole run.
+  void Write64Run(Pa pa, std::span<const uint64_t> words) override;
   uint32_t Read32(Pa pa) const;
   void Write32(Pa pa, uint32_t value);
   uint8_t Read8(Pa pa) const;
@@ -85,10 +92,20 @@ class PhysMem : public MemIo {
  private:
   using Page = std::array<uint8_t, kPageSize>;
 
-  // The page holding pa, or nullptr while it still reads as zero.
-  const Page* PageForRead(Pa pa) const {
-    return dir_[pa.PageIndex()].load(std::memory_order_acquire);
+  // Pages per directory chunk: 2 MB of PA.
+  static constexpr uint64_t kChunkPages = 512;
+  using Chunk = std::array<std::atomic<Page*>, kChunkPages>;
+
+  // The page at page_index, or nullptr while it still reads as zero.
+  Page* LoadPage(uint64_t page_index) const {
+    const Chunk* chunk =
+        dir_[page_index / kChunkPages].load(std::memory_order_acquire);
+    return chunk == nullptr ? nullptr
+                            : (*chunk)[page_index % kChunkPages].load(
+                                  std::memory_order_acquire);
   }
+  // The page holding pa, or nullptr while it still reads as zero.
+  const Page* PageForRead(Pa pa) const { return LoadPage(pa.PageIndex()); }
   // The page holding pa, materialized zeroed on first touch.
   Page& PageFor(Pa pa);
   Page& Materialize(uint64_t page_index);
@@ -97,18 +114,24 @@ class PhysMem : public MemIo {
   void MarkDirty(uint64_t page_index);
 
   uint64_t size_;  // not-snapshotted: fixed by MachineConfig, verified on apply
-  // One slot per page of [0, size_), nullptr until the page's first touch.
-  // Accessors find a page with one acquire load and no lock. Slots change
-  // only under pages_mu_: first touch re-checks the slot under the lock and
-  // publishes the zeroed page with a release store, so SMP-engine lanes
-  // touching one page concurrently agree on a single page. Page payloads
-  // need no lock -- a byte is only shared across lanes through the engine's
+  // One slot per kChunkPages pages of [0, size_), nullptr until the first
+  // touch of one of those pages; a chunk's slots stay nullptr until their
+  // page's first touch. Accessors find a page with two acquire loads and no
+  // lock. Both levels change only under pages_mu_: first touch re-checks
+  // each level under the lock and publishes a new chunk, then the zeroed
+  // page, with release stores, so SMP-engine lanes touching one page
+  // concurrently agree on a single chunk and page. Page payloads need no
+  // lock -- a byte is only shared across lanes through the engine's
   // deferred-merge rule, never accessed concurrently.
   // not-snapshotted: pages move through ResidentPageIndices/ReadPage/
   // WritePage/DropPage
-  std::unique_ptr<std::atomic<Page*>[]> dir_;
-  // Serializes slot changes; guards the resident and dirty sets.
+  std::unique_ptr<std::atomic<Chunk*>[]> dir_;
+  // Serializes slot changes; guards the chunks and the resident and dirty
+  // sets.
   mutable Mutex pages_mu_{"mem.phys_pages"};
+  // Owns every chunk dir_ points to.
+  // not-snapshotted: host-side index over the resident pages
+  std::vector<std::unique_ptr<Chunk>> chunks_ GUARDED_BY(pages_mu_);
   // Owns every materialized page, keyed by page index: the sorted resident
   // set, so enumeration and teardown cost O(resident pages), not O(size_).
   // not-snapshotted: pages move through the public page API above

@@ -24,6 +24,10 @@ void GuestPhysView::Write64(Pa ipa_as_pa, uint64_t value) {
   parent_->Write64(Translate(ipa_as_pa, /*is_write=*/true), value);
 }
 
+void GuestPhysView::Write64Run(Pa ipa_as_pa, std::span<const uint64_t> words) {
+  parent_->Write64Run(Translate(ipa_as_pa, /*is_write=*/true), words);
+}
+
 void GuestPhysView::ZeroPage(Pa page_base) {
   parent_->ZeroPage(Translate(page_base, /*is_write=*/true));
 }

@@ -12,6 +12,7 @@
 #define NEVE_SRC_MEM_SHADOW_S2_H_
 
 #include <cstdint>
+#include <span>
 
 #include "src/mem/mem_io.h"
 #include "src/mem/page_table.h"
@@ -38,6 +39,8 @@ class GuestPhysView : public MemIo {
 
   uint64_t Read64(Pa ipa_as_pa) const override;
   void Write64(Pa ipa_as_pa, uint64_t value) override;
+  // A run stays inside one page, so one translation covers it.
+  void Write64Run(Pa ipa_as_pa, std::span<const uint64_t> words) override;
   void ZeroPage(Pa page_base) override;
   bool Contains(Pa ipa_as_pa, uint64_t bytes) const override;
 

@@ -5,7 +5,9 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <latch>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -70,6 +72,8 @@ TEST_F(MemFixture, OutOfRangeAccessAborts) {
 
 TEST_F(MemFixture, PageStraddlingAccessAborts) {
   EXPECT_DEATH(mem_.Read64(Pa(0x1FFC)), "crosses page");
+  const uint64_t run[2] = {1, 2};
+  EXPECT_DEATH(mem_.Write64Run(Pa(0x1FF8), run), "crosses page");
 }
 
 TEST(PhysMemTest, UnalignedSizeAborts) {
@@ -86,14 +90,13 @@ TEST_F(MemFixture, PageIndexBeyondMemoryAborts) {
   EXPECT_DEATH(mem_.DropPage(1ull << 52), "page index out of range");
 }
 
-TEST(PhysMemTest, ConcurrentFirstTouchMaterializesEachPageOnce) {
-  // Eight threads first-touch, write and read the same pages in the same
-  // order, so first touches collide; each thread uses its own 8-byte slot
-  // of every page (lanes never share a byte).
+// Eight threads first-touch, write and read the same pages in the same
+// order, so first touches collide; each thread uses its own 8-byte slot of
+// every page (lanes never share a byte). page_index(k) must ascend in k.
+void FirstTouchFromEightThreads(uint64_t (*page_index)(uint64_t)) {
   constexpr int kThreads = 8;
   constexpr uint64_t kPages = 64;
   PhysMem mem(kMemSize);
-  auto page_index = [](uint64_t k) { return 3 + 5 * k; };  // sparse, ascending
   auto value = [](int t, uint64_t k) { return (k << 8) | (t + 1); };
   auto slot = [&](int t, uint64_t k) {
     return Pa((page_index(k) << kPageShift) + 8 * static_cast<uint64_t>(t));
@@ -122,8 +125,8 @@ TEST(PhysMemTest, ConcurrentFirstTouchMaterializesEachPageOnce) {
     expected.push_back(page_index(k));
   }
   EXPECT_EQ(mem.ResidentPageIndices(), expected);
-  // A page materialized twice would have lost the writes made to the copy
-  // that lost the race.
+  // A page or chunk materialized twice would have lost the writes made
+  // through the copy that lost the race.
   for (uint64_t k = 0; k < kPages; ++k) {
     for (int t = 0; t < kThreads; ++t) {
       EXPECT_EQ(mem.Read64(slot(t, k)), value(t, k)) << "page " << k;
@@ -134,6 +137,52 @@ TEST(PhysMemTest, ConcurrentFirstTouchMaterializesEachPageOnce) {
   EXPECT_EQ(mem.ResidentPages(), kPages - 1);
   expected.erase(expected.begin() + 7);
   EXPECT_EQ(mem.ResidentPageIndices(), expected);
+}
+
+TEST(PhysMemTest, ConcurrentFirstTouchMaterializesEachPageOnce) {
+  // Sparse pages, all in the directory's first chunk.
+  FirstTouchFromEightThreads([](uint64_t k) { return 3 + 5 * k; });
+}
+
+TEST(PhysMemTest, ConcurrentFirstTouchCreatesEachChunkOnce) {
+  // Two pages in each of 32 untouched 2 MB chunks: the threads also race
+  // to create every chunk.
+  FirstTouchFromEightThreads(
+      [](uint64_t k) { return (k / 2) * 512 + (k % 2) * 300 + 1; });
+}
+
+TEST(PhysMemTest, LastPageOfAPartialChunk) {
+  // 513 pages: the directory's second chunk holds only the last page.
+  constexpr uint64_t kLast = 512;
+  PhysMem mem((kLast + 1) * kPageSize);
+  Pa pa((kLast << kPageShift) + 0xFF8);
+  mem.Write64(pa, 0xFEEDull);
+  EXPECT_EQ(mem.Read64(pa), 0xFEEDull);
+  std::array<uint8_t, kPageSize> page{};
+  ASSERT_TRUE(mem.ReadPage(kLast, &page));
+  uint64_t word = 0;
+  std::memcpy(&word, page.data() + 0xFF8, 8);
+  EXPECT_EQ(word, 0xFEEDull);
+  EXPECT_EQ(mem.ResidentPageIndices(), std::vector<uint64_t>{kLast});
+  mem.DropPage(kLast);
+  EXPECT_FALSE(mem.ReadPage(kLast, &page));
+  EXPECT_EQ(mem.Read64(pa), 0u);
+  EXPECT_EQ(mem.ResidentPages(), 0u);
+  EXPECT_DEATH(mem.Read64(Pa((kLast + 1) << kPageShift)), "PA out of range");
+}
+
+TEST_F(MemFixture, PageInAnUntouchedChunkIsAbsent) {
+  mem_.Write64(Pa(0x1000), 1);  // touches chunk 0 only
+  constexpr uint64_t kFar = 5 * 512 + 3;  // chunk 5
+  std::array<uint8_t, kPageSize> page;
+  page.fill(0xAB);
+  EXPECT_FALSE(mem_.ReadPage(kFar, &page));
+  EXPECT_THAT(page, testing::Each(0xAB));  // *out untouched
+  mem_.DropPage(kFar);
+  EXPECT_FALSE(mem_.ReadPage(kFar, &page));
+  EXPECT_EQ(mem_.Read64(Pa(kFar << kPageShift)), 0u);
+  EXPECT_EQ(mem_.ResidentPageIndices(), std::vector<uint64_t>{1});
+  EXPECT_EQ(mem_.Read64(Pa(0x1000)), 1u);
 }
 
 // --- PageAllocator ---------------------------------------------------------------
@@ -220,6 +269,91 @@ TEST_F(MemFixture, MapRangeCoversEveryPage) {
   EXPECT_FALSE(pt.Walk(16 * kPageSize, false).ok);
 }
 
+// What building one table leaves in a fresh machine memory: allocator use,
+// resident pages with their bytes, and the pages dirtied by the build and
+// by a second pass that remaps the range into the tables the first built.
+struct TableBuild {
+  uint64_t pages_allocated = 0;
+  std::vector<uint64_t> resident;
+  std::vector<std::array<uint8_t, kPageSize>> bytes;
+  std::vector<uint64_t> dirty;
+  std::vector<uint64_t> remap_dirty;
+};
+
+// Maps `pages` pages from input page `first` to output page `first + 7`,
+// with one MapRange or with a MapPage loop, then remaps them read-only the
+// same way. through_view builds the table in guest-physical space behind a
+// GuestPhysView, as a guest hypervisor's Stage-2 is built.
+TableBuild BuildTable(uint64_t first, uint64_t pages, bool map_range,
+                      bool through_view) {
+  PhysMem mem(kMemSize);
+  PageAllocator host_alloc(&mem, Pa(32ull << 20), 16ull << 20);
+  Stage2Table host_s2(&mem, &host_alloc);
+  // L1 IPA [0, 16MB) -> machine [16MB, 32MB).
+  host_s2.MapRange(Ipa(0), Pa(16ull << 20), 16ull << 20, PagePerms::Rw());
+  GuestPhysView view(&mem, &host_s2);
+  MemIo* space = through_view ? static_cast<MemIo*>(&view) : &mem;
+  PageAllocator alloc(space, Pa(4ull << 20), 4ull << 20);
+  mem.SetDirtyTracking(true);
+  PageTable pt(space, &alloc);
+  uint64_t in = first << kPageShift;
+  Pa out((first + 7) << kPageShift);
+  auto map = [&](PagePerms perms) {
+    if (map_range) {
+      pt.MapRange(in, out, pages << kPageShift, perms);
+      return;
+    }
+    for (uint64_t i = 0; i < pages; ++i) {
+      pt.MapPage(in + (i << kPageShift), Pa(out.value + (i << kPageShift)),
+                 perms);
+    }
+  };
+  TableBuild b;
+  map(PagePerms::RwUser());
+  b.dirty = mem.DrainDirtyPages();
+  map(PagePerms::Ro());
+  b.remap_dirty = mem.DrainDirtyPages();
+  b.pages_allocated = alloc.PagesAllocated();
+  b.resident = mem.ResidentPageIndices();
+  for (uint64_t index : b.resident) {
+    std::array<uint8_t, kPageSize>& page = b.bytes.emplace_back();
+    EXPECT_TRUE(mem.ReadPage(index, &page));
+  }
+  return b;
+}
+
+void ExpectMapRangeMatchesMapPageLoop(bool through_view) {
+  struct Range {
+    uint64_t first;  // input page
+    uint64_t pages;
+  };
+  const Range ranges[] = {
+      {510, 5},     // into a second level-3 table
+      {3, 1030},    // from mid-table across three level-3 tables
+      {(1ull << 30 >> kPageShift) - 4, 8},    // 1 GiB: a second level-2 table
+      {(512ull << 30 >> kPageShift) - 2, 4},  // 512 GiB: a second level-1 table
+  };
+  for (const Range& r : ranges) {
+    SCOPED_TRACE("first page " + std::to_string(r.first) + ", " +
+                 std::to_string(r.pages) + " pages");
+    TableBuild range = BuildTable(r.first, r.pages, true, through_view);
+    TableBuild loop = BuildTable(r.first, r.pages, false, through_view);
+    EXPECT_EQ(range.pages_allocated, loop.pages_allocated);
+    EXPECT_EQ(range.resident, loop.resident);
+    EXPECT_TRUE(range.bytes == loop.bytes);
+    EXPECT_EQ(range.dirty, loop.dirty);
+    EXPECT_EQ(range.remap_dirty, loop.remap_dirty);
+  }
+}
+
+TEST(PageTableTest, MapRangeWritesWhatAMapPageLoopWrites) {
+  ExpectMapRangeMatchesMapPageLoop(/*through_view=*/false);
+}
+
+TEST(PageTableTest, MapRangeThroughAGuestViewWritesWhatAMapPageLoopWrites) {
+  ExpectMapRangeMatchesMapPageLoop(/*through_view=*/true);
+}
+
 TEST_F(MemFixture, WalkAcrossTableBoundaries) {
   PageTable pt(&mem_, &alloc_);
   // Addresses chosen to exercise distinct level-0/1/2 indices.
@@ -268,6 +402,13 @@ TEST_F(MemFixture, MisalignedMapAborts) {
   PageTable pt(&mem_, &alloc_);
   EXPECT_DEATH(pt.MapPage(0x10001, Pa(0x200000), PagePerms::Rw()), "");
   EXPECT_DEATH(pt.MapPage(0x10000, Pa(0x200001), PagePerms::Rw()), "");
+  EXPECT_DEATH(pt.MapRange(0x10001, Pa(0x200000), kPageSize, PagePerms::Rw()),
+               "IsAligned\\(input_start");
+  EXPECT_DEATH(pt.MapRange(0x10000, Pa(0x200001), kPageSize, PagePerms::Rw()),
+               "IsAligned\\(output_start");
+  EXPECT_DEATH(
+      pt.MapRange(0x10000, Pa(0x200000), kPageSize + 8, PagePerms::Rw()),
+      "IsAligned\\(size");
 }
 
 // --- Typed wrappers ----------------------------------------------------------------
