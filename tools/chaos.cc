@@ -30,8 +30,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/fault/fault.h"
@@ -77,21 +79,30 @@ uint64_t CounterValue(const MetricsRegistry& metrics, const std::string& name) {
   return c != nullptr ? c->value() : 0;
 }
 
+// One campaign's results, or the sum of several. Campaigns run in parallel,
+// so each fills its own Totals and RunCampaigns prints their violation
+// reports in campaign order.
 struct Totals {
   uint64_t campaigns = 0;
   uint64_t injections = 0;
   uint64_t kills = 0;
   uint64_t restarts = 0;
   uint64_t violations = 0;
+  std::string report;  // one "chaos VIOLATION ..." line per violation
 };
 
-void Violation(Totals& t, const char* config, uint64_t seed, const char* what,
-               uint64_t got, uint64_t want) {
-  std::fprintf(stderr,
-               "chaos VIOLATION [%s seed=%" PRIu64 "] %s: got %" PRIu64
-               ", want %" PRIu64 "\n",
-               config, seed, what, got, want);
+void Violation(Totals& t, const char* config, uint64_t seed,
+               const std::string& what) {
+  t.report += "chaos VIOLATION [" + std::string(config) +
+              " seed=" + std::to_string(seed) + "] " + what + "\n";
   ++t.violations;
+}
+
+void Violation(Totals& t, const char* config, uint64_t seed,
+               const std::string& what, uint64_t got, uint64_t want) {
+  Violation(t, config, seed,
+            what + ": got " + std::to_string(got) + ", want " +
+                std::to_string(want));
 }
 
 void RunCampaign(const NamedConfig& nc, uint64_t seed, double rate,
@@ -129,7 +140,7 @@ void RunCampaign(const NamedConfig& nc, uint64_t seed, double rate,
     }
     if (CounterValue(metrics, std::string("fault.injected.") + name) !=
         from_log[name]) {
-      Violation(t, nc.name, seed, (std::string("metric ") + name).c_str(),
+      Violation(t, nc.name, seed, std::string("metric ") + name,
                 CounterValue(metrics, std::string("fault.injected.") + name),
                 from_log[name]);
     }
@@ -161,11 +172,8 @@ void RunCampaign(const NamedConfig& nc, uint64_t seed, double rate,
   stack.machine().fault().set_enabled(false);
   Status again = stack.Run(BootBody());
   if (!again.ok()) {
-    std::fprintf(stderr,
-                 "chaos VIOLATION [%s seed=%" PRIu64
-                 "] restarted VM failed a fault-free run: %s\n",
-                 nc.name, seed, again.ToString().c_str());
-    ++t.violations;
+    Violation(t, nc.name, seed,
+              "restarted VM failed a fault-free run: " + again.ToString());
     return;
   }
   ++t.restarts;
@@ -173,12 +181,22 @@ void RunCampaign(const NamedConfig& nc, uint64_t seed, double rate,
 
 int RunCampaigns(int campaigns, uint64_t base_seed, double rate,
                  uint64_t watchdog) {
+  // Every campaign builds its own stack, so campaigns share no state.
+  const size_t per_config = campaigns > 0 ? static_cast<size_t>(campaigns) : 0;
+  std::vector<Totals> runs(std::size(kConfigs) * per_config);
+  ParallelFor(runs.size(), DefaultBenchThreads(), [&](size_t k) {
+    size_t c = k / per_config;
+    uint64_t seed = base_seed * 1000003ull + c * 131ull + k % per_config;
+    RunCampaign(kConfigs[c], seed, rate, watchdog, runs[k]);
+  });
   Totals t;
-  for (size_t c = 0; c < sizeof(kConfigs) / sizeof(kConfigs[0]); ++c) {
-    for (int i = 0; i < campaigns; ++i) {
-      uint64_t seed = base_seed * 1000003ull + c * 131ull + i;
-      RunCampaign(kConfigs[c], seed, rate, watchdog, t);
-    }
+  for (const Totals& run : runs) {
+    t.campaigns += run.campaigns;
+    t.injections += run.injections;
+    t.kills += run.kills;
+    t.restarts += run.restarts;
+    t.violations += run.violations;
+    std::fputs(run.report.c_str(), stderr);
   }
   std::printf("chaos: %" PRIu64 " campaigns across %zu configs, %" PRIu64
               " injections, %" PRIu64 " vm kills, %" PRIu64 " restarts, %"
