@@ -225,6 +225,8 @@ void BM_StackConstruction(benchmark::State& state) {
     ArmStack stack(StackConfig::NestedNeve(false), 1);
     benchmark::DoNotOptimize(&stack);
   }
+  // One item per stack, so tools/perf_ratchet.txt can floor stacks/s.
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StackConstruction);
 

@@ -13,9 +13,9 @@
 #                          case's stack variants on concurrent threads)
 #   tools/ci.sh tidy       clang-tidy over src/ (skipped when not installed)
 #   tools/ci.sh smoke      simcore_gbench smoke (BENCH_simcore.json), the
-#                          guest-ops/sec perf ratchet (tools/perf_ratchet.txt)
-#                          and the cached vs uncached archlint matrix-dump
-#                          byte comparison
+#                          guest-ops/sec and stack-construction perf ratchet
+#                          (tools/perf_ratchet.txt) and the cached vs
+#                          uncached archlint matrix-dump byte comparison
 #   tools/ci.sh chaos      extended fault-injection sweep (tools/chaos.sh)
 #                          against the asan and ubsan builds
 #   tools/ci.sh migrate    seeded migration chaos campaigns (the six
@@ -138,11 +138,11 @@ run_tsan() {
 
 # Perf + serialization smoke on the Release build: run the simulator-core
 # microbenchmarks into BENCH_simcore.json, validate the JSON with the
-# schema checker, enforce the guest-ops/sec floors against the batch
-# engine (tools/perf_ratchet.txt; two extra GuestOpsBurst-only runs make the
-# check best-of-3 so one noisy run can't flake it), and prove the resolution
-# fast-path cache is behaviour-preserving by byte-comparing archlint's full
-# resolution matrix dumped with the cache on and off.
+# schema checker, enforce the guest-ops/sec and stack-construction floors
+# (tools/perf_ratchet.txt; two extra runs of just the ratcheted benchmarks
+# make the check best-of-3 so one noisy run can't flake it), and prove the
+# resolution fast-path cache is behaviour-preserving by byte-comparing
+# archlint's full resolution matrix dumped with the cache on and off.
 run_smoke() {
   local build_dir="$ROOT/build-ci-release"
   if [[ ! -x "$build_dir/bench/simcore_gbench" ||
@@ -158,10 +158,12 @@ run_smoke() {
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"; trap - RETURN' RETURN
-  echo "==> [smoke] guest-ops/sec perf ratchet (best-of-3)"
-  "$build_dir/bench/simcore_gbench" --benchmark_filter=GuestOpsBurst \
+  echo "==> [smoke] perf ratchet (best-of-3)"
+  "$build_dir/bench/simcore_gbench" \
+    --benchmark_filter='GuestOpsBurst|StackConstruction' \
     --json="$tmp/ratchet1.json" >/dev/null
-  "$build_dir/bench/simcore_gbench" --benchmark_filter=GuestOpsBurst \
+  "$build_dir/bench/simcore_gbench" \
+    --benchmark_filter='GuestOpsBurst|StackConstruction' \
     --json="$tmp/ratchet2.json" >/dev/null
   "$build_dir/tools/perf_ratchet" "$ROOT/tools/perf_ratchet.txt" \
     "$ROOT/BENCH_simcore.json" "$tmp/ratchet1.json" "$tmp/ratchet2.json"

@@ -9,7 +9,8 @@
 // single noisy run on a loaded CI host can't fail a floor that a retry
 // clears (the same min-of-reps discipline as tests/attr_test.cc's
 // AttrOverheadGuard). ci.sh's smoke stage feeds the full BENCH_simcore.json
-// run plus two extra GuestOpsBurst-only runs.
+// run plus two extra runs of the GuestOpsBurst and StackConstruction
+// benchmarks.
 //
 // Ratchet file format (tools/perf_ratchet.txt), '#' comments allowed:
 //
@@ -31,82 +32,59 @@
 // tools/coverage_ratchet.txt: when the measured numbers rise, raise the
 // floor to just below the new value.
 //
-// The JSON fields are extracted with a purpose-built scanner rather than a
-// full parser: bench_json_check validates the documents structurally first
-// in CI, and this tool only needs the ("name", items_per_second) pairs,
-// which google-benchmark emits in that order inside each benchmark object.
-// --selftest exercises the scanner and every directive verdict.
+// Parsing uses src/obs/json, the strict reader bench_json_check and
+// obsreport use: a file that does not parse is an error, not a document
+// with no benchmarks. --selftest exercises the reader and every directive
+// verdict.
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/obs/json.h"
+
 namespace {
 
-// --- google-benchmark JSON scanning -----------------------------------------
+using neve::JsonValue;
 
-// Reads the JSON string literal starting at text[pos] == '"'. Escapes other
-// than \" are passed through verbatim: benchmark names are C++ identifiers
-// and never need them.
-std::string ReadString(const std::string& text, size_t* pos) {
-  std::string out;
-  size_t i = *pos + 1;
-  while (i < text.size() && text[i] != '"') {
-    if (text[i] == '\\' && i + 1 < text.size()) {
-      out.push_back(text[i + 1]);
-      i += 2;
-      continue;
-    }
-    out.push_back(text[i++]);
+// --- google-benchmark JSON ----------------------------------------------------
+
+// Merges the (name, items_per_second) pairs of one google-benchmark JSON
+// document into `best`, keeping the maximum per name. Entries without
+// items_per_second (e.g. a benchmark that never calls SetItemsProcessed)
+// are skipped. Returns false and sets *error when the text is not JSON or
+// carries no entry with items_per_second at all (wrong file, empty filter).
+bool ReadBenchJson(const std::string& text,
+                   std::map<std::string, double>* best, std::string* error) {
+  std::unique_ptr<JsonValue> doc = JsonValue::Parse(text, error);
+  if (doc == nullptr) {
+    *error = "not valid JSON: " + *error;
+    return false;
   }
-  *pos = i < text.size() ? i + 1 : i;
-  return out;
-}
-
-// Merges the ("name", items_per_second) pairs of one google-benchmark JSON
-// document into `best`, keeping the maximum per name. Returns false when the
-// text carries no benchmark entries at all (wrong file, empty filter).
-bool ScanBenchJson(const std::string& text,
-                   std::map<std::string, double>* best) {
+  const JsonValue* benches = doc->Find("benchmarks");
   bool any = false;
-  std::string current;  // last "name" value seen
-  size_t pos = 0;
-  while (pos < text.size()) {
-    if (text[pos] != '"') {
-      ++pos;
-      continue;
-    }
-    std::string key = ReadString(text, &pos);
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-    if (pos >= text.size() || text[pos] != ':') {
-      continue;  // a string value, not a key
-    }
-    ++pos;
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-    if (key == "name" && pos < text.size() && text[pos] == '"') {
-      current = ReadString(text, &pos);
-      continue;
-    }
-    if (key == "items_per_second" && !current.empty()) {
-      double v = std::strtod(text.c_str() + pos, nullptr);
-      auto it = best->find(current);
-      if (it == best->end() || v > it->second) {
-        (*best)[current] = v;
+  if (benches != nullptr) {
+    for (const JsonValue& b : benches->Items()) {
+      const JsonValue* name = b.Find("name");
+      const JsonValue* items = b.Find("items_per_second");
+      if (name == nullptr || !name->is_string() || items == nullptr ||
+          !items->is_number()) {
+        continue;
+      }
+      auto [it, inserted] = best->emplace(name->AsString(), items->AsDouble());
+      if (!inserted && items->AsDouble() > it->second) {
+        it->second = items->AsDouble();
       }
       any = true;
     }
+  }
+  if (!any) {
+    *error = "no benchmark entries with items_per_second";
   }
   return any;
 }
@@ -234,11 +212,10 @@ int Selftest() {
     }
   };
 
-  // Scanner: names pair with their own items_per_second; entries without
-  // the field (e.g. BM_StackConstruction) are skipped; string values that
-  // merely contain a colon in prose don't desync the key detection.
+  // Reader: names pair with their own items_per_second; entries without
+  // the field are skipped; fields outside "benchmarks" never count.
   const std::string json1 = R"({
-    "context": {"executable": "simcore_gbench", "note": "key: value prose"},
+    "context": {"name": "BM_Context", "items_per_second": 1.0},
     "benchmarks": [
       {"name": "BM_A_interp", "real_time": 9.0, "items_per_second": 100.0},
       {"name": "BM_NoItems", "real_time": 2.0},
@@ -252,18 +229,23 @@ int Selftest() {
     ]
   })";
   std::map<std::string, double> best;
-  expect(ScanBenchJson(json1, &best), "json1 scans");
-  expect(ScanBenchJson(json2, &best), "json2 scans");
+  std::string error;
+  expect(ReadBenchJson(json1, &best, &error), "json1 reads");
+  expect(ReadBenchJson(json2, &best, &error), "json2 reads");
   expect(best.size() == 2, "exactly two benchmarks carry items_per_second");
   expect(best["BM_A_interp"] == 100.0, "best-of-N keeps the max numerator");
   expect(best["BM_A_batched"] == 440.0, "best-of-N keeps the max across files");
-  expect(!ScanBenchJson("{\"context\": {}}", &best),
+  expect(!ReadBenchJson("{\"context\": {}}", &best, &error) &&
+             error.find("no benchmark entries") != std::string::npos,
          "a document without entries reports empty");
+  expect(!ReadBenchJson(json2.substr(0, json2.size() / 2), &best, &error) &&
+             error.find("not valid JSON") != std::string::npos,
+         "a truncated document is an error");
+  expect(best.size() == 2, "failed reads leave the results untouched");
 
   // Directives: parse errors, passing floors, failing floors, and the
   // missing-benchmark rule must each produce their verdict.
   std::vector<Directive> dirs;
-  std::string error;
   expect(!ParseRatchet("bogus_verb x 1\n", &dirs, &error) && !error.empty(),
          "unknown directive rejected");
   dirs.clear();
@@ -333,9 +315,8 @@ int main(int argc, char** argv) {
     }
     std::ostringstream jbuf;
     jbuf << jf.rdbuf();
-    if (!ScanBenchJson(jbuf.str(), &best)) {
-      std::fprintf(stderr, "%s: no benchmark entries with items_per_second\n",
-                   argv[i]);
+    if (!ReadBenchJson(jbuf.str(), &best, &error)) {
+      std::fprintf(stderr, "%s: %s\n", argv[i], error.c_str());
       return 1;
     }
   }
