@@ -227,7 +227,7 @@ void GuestKvm::SwitchIntoNested(GuestEnv& env, Vcpu& vcpu) {
     }
   }
   WriteGuestTrapControls(cpu, vhcr, vttbr, static_cast<uint64_t>(vcpu.id()));
-  WriteReturnState(cpu, config_.vhe, ns.elr, ns.spsr);
+  WriteReturnState(cpu, ns.elr, ns.spsr);
 }
 
 void GuestKvm::SwitchOutOfNested(GuestEnv& env, Vcpu& vcpu) {
@@ -237,7 +237,7 @@ void GuestKvm::SwitchOutOfNested(GuestEnv& env, Vcpu& vcpu) {
 
   TouchPerCpuData(cpu);
   env.Compute(SwCost::kGprSwitch);
-  ExitInfo info = ReadExitInfo(cpu, config_.vhe, /*read_fault_regs=*/true);
+  ExitInfo info = ReadExitInfo(cpu);
   ns.elr = info.elr;
   ns.spsr = info.spsr;
   SaveEl1Context(cpu, config_.vhe, &ns.el1);

@@ -296,7 +296,7 @@ void HostKvm::SwitchIntoGuest(Cpu& cpu, Vcpu& vcpu) {
     }
     cpu.SysRegWrite(SysReg::kVNCR_EL2, vncr);
   }
-  WriteReturnState(cpu, config_.vhe, hs.elr, hs.spsr);
+  WriteReturnState(cpu, hs.elr, hs.spsr);
   ps.guest_loaded = true;
 }
 
@@ -315,7 +315,7 @@ void HostKvm::SwitchOutOfGuest(Cpu& cpu, Vcpu& vcpu) {
 
   TouchPerCpuData(cpu);
   cpu.Compute(SwCost::kGprSwitch);
-  ExitInfo info = ReadExitInfo(cpu, config_.vhe, /*read_fault_regs=*/true);
+  ExitInfo info = ReadExitInfo(cpu);
   hs.elr = info.elr;
   hs.spsr = info.spsr;
   SaveEl1Context(cpu, config_.vhe, &hs.cur_el1);

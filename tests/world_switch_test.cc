@@ -79,8 +79,8 @@ TEST_P(WorldSwitchTest, HostSideSequencesNeverTrap) {
   RestoreGuestTimer(cpu_, false, timer, 0);
   WriteGuestTrapControls(cpu_, 0, 0, 0);
   WriteHostTrapControls(cpu_, 0);
-  ReadExitInfo(cpu_, false, true);
-  WriteReturnState(cpu_, false, 0, 0);
+  ReadExitInfo(cpu_);
+  WriteReturnState(cpu_, 0, 0);
   TouchPerCpuData(cpu_);
   EXPECT_EQ(host_.traps, 0);
 }
@@ -103,7 +103,7 @@ TEST_P(WorldSwitchTest, El1ContextSaveTrapProfile) {
 }
 
 TEST_P(WorldSwitchTest, ExitInfoReadTrapProfile) {
-  int traps = TrapsAtVel2([&] { ReadExitInfo(cpu_, vhe(), true); });
+  int traps = TrapsAtVel2([&] { ReadExitInfo(cpu_); });
   const WsParam& p = GetParam();
   if (p.features.neve && p.vncr) {
     EXPECT_EQ(traps, 0) << "redirect + deferred classes cover exit info";
