@@ -11,6 +11,8 @@
 #include "src/cpu/trace.h"
 #include "src/mem/shadow_s2.h"
 #include "src/mem/page_table.h"
+#include "src/obs/attr.h"
+#include "src/obs/observability.h"
 
 namespace neve {
 namespace {
@@ -364,6 +366,274 @@ TEST_F(NeveCpuFixture, TrapOnWriteStillTraps) {
   });
   ASSERT_EQ(host_.syndromes.size(), 1u);
   EXPECT_TRUE(host_.syndromes[0].is_write);
+}
+
+// --- list transfers ----------------------------------------------------------------
+
+// One CPU with its own memory, host, observability and attribution, so two
+// rigs can run the same script -- one through ReadList/WriteList, one
+// through the per-access loop those replace -- and be compared.
+struct ListRig {
+  ListRig()
+      : mem(64ull << 20),
+        cpu(0, ArchFeatures::Armv84Neve(), CostModel::Default(), &mem) {
+    cpu.SetEl2Host(&host);
+    obs.set_enabled(true);
+    cpu.SetObservability(&obs);
+    attr.AttachCpu(0);
+    cpu.SetAttribution(&attr);
+    cpu.trace().set_record_details(true);
+  }
+
+  void Read(bool lists, const SysRegList& list, uint64_t* out,
+            ContextSlots slots) {
+    if (lists) {
+      cpu.ReadList(list, out, slots);
+      return;
+    }
+    for (size_t i = 0; i < list.size(); ++i) {
+      out[i] = cpu.SysRegRead(list.encs()[i]);
+      if (slots == ContextSlots::kPerEntry) {
+        cpu.Compute(cpu.cost().mem_access);
+      }
+    }
+    for (size_t i = 0; slots == ContextSlots::kBlock && i < list.size(); ++i) {
+      cpu.Compute(cpu.cost().mem_access);
+    }
+  }
+
+  void Write(bool lists, const SysRegList& list, const uint64_t* in,
+             ContextSlots slots) {
+    if (lists) {
+      cpu.WriteList(list, in, slots);
+      return;
+    }
+    for (size_t i = 0; slots == ContextSlots::kBlock && i < list.size(); ++i) {
+      cpu.Compute(cpu.cost().mem_access);
+    }
+    for (size_t i = 0; i < list.size(); ++i) {
+      if (slots == ContextSlots::kPerEntry) {
+        cpu.Compute(cpu.cost().mem_access);
+      }
+      cpu.SysRegWrite(list.encs()[i], in[i]);
+    }
+  }
+
+  PhysMem mem;
+  Cpu cpu;
+  FakeHost host;
+  Observability obs;
+  CycleAttribution attr;
+};
+
+// Runs `script` on a list rig and a loop rig and requires everything either
+// can observe to match: values (the script returns them), architectural
+// state, cycles, trap trace, attribution, cache counters and metrics.
+template <typename Script>
+void ExpectListsMatchLoop(Script script) {
+  ListRig with_lists, with_loop;
+  std::vector<uint64_t> a = script(with_lists, true);
+  std::vector<uint64_t> b = script(with_loop, false);
+  EXPECT_EQ(a, b);
+  const Cpu& x = with_lists.cpu;
+  const Cpu& y = with_loop.cpu;
+  EXPECT_EQ(x.ArchStateDigest(), y.ArchStateDigest());
+  EXPECT_EQ(x.cycles(), y.cycles());
+  EXPECT_EQ(with_lists.cpu.trace().Dump(), with_loop.cpu.trace().Dump());
+  EXPECT_EQ(with_lists.cpu.trace().AttributionReport(),
+            with_loop.cpu.trace().AttributionReport());
+  EXPECT_EQ(with_lists.attr.CollapsedStacks(), with_loop.attr.CollapsedStacks());
+  EXPECT_EQ(x.resolution_cache().hits(), y.resolution_cache().hits());
+  EXPECT_EQ(x.resolution_cache().misses(), y.resolution_cache().misses());
+  std::string metrics = with_lists.obs.metrics().TextReport();
+  EXPECT_EQ(metrics, with_loop.obs.metrics().TextReport());
+  if (x.resolution_cache().enabled()) {
+    EXPECT_NE(metrics.find("cpu.resolve_cache_hits"), std::string::npos);
+  }
+}
+
+uint64_t NvHcr(bool nv1) {
+  uint64_t h = Hcr::Make({HcrBits::kVm, HcrBits::kImo, HcrBits::kNv});
+  return nv1 ? SetBit(h, HcrBits::kNv1) : h;
+}
+
+constexpr SysReg kEl2Encs[] = {SysReg::kVBAR_EL2, SysReg::kTPIDR_EL2,
+                               SysReg::kESR_EL2, SysReg::kELR_EL2,
+                               SysReg::kSPSR_EL2, SysReg::kFAR_EL2};
+const SysRegList kEl2Read(kEl2Encs);
+const SysRegList kEl2Write(kEl2Encs);
+// At virtual EL2 under NV without NV1, the EL1 and EL0 entries are plain
+// registers and ESR_EL2 traps.
+constexpr SysReg kMixedEncs[] = {SysReg::kSCTLR_EL1, SysReg::kTPIDR_EL0,
+                                 SysReg::kESR_EL2, SysReg::kTPIDRRO_EL0};
+const SysRegList kMixedRead(kMixedEncs);
+const SysRegList kMixedWrite(kMixedEncs);
+// Under NEVE at virtual EL2: HCR_EL2 and VTTBR_EL2 go to the deferred page,
+// VBAR_EL2 and ELR_EL2 to their EL1 registers.
+constexpr SysReg kNeveEncs[] = {SysReg::kVBAR_EL2, SysReg::kHCR_EL2,
+                                SysReg::kELR_EL2, SysReg::kVTTBR_EL2};
+const SysRegList kNeveRead(kNeveEncs);
+const SysRegList kNeveWrite(kNeveEncs);
+constexpr SysReg kRedirectEncs[] = {SysReg::kVBAR_EL2, SysReg::kELR_EL2,
+                                    SysReg::kESR_EL2};
+const SysRegList kRedirectRead(kRedirectEncs);
+// Plain registers at virtual EL2 under NV without NV1.
+constexpr SysReg kEl1Encs[] = {SysReg::kSCTLR_EL1, SysReg::kTPIDR_EL0,
+                               SysReg::kTPIDRRO_EL0, SysReg::kTPIDR_EL1};
+const SysRegList kEl1Read(kEl1Encs);
+constexpr SysReg kConfigEncs[] = {SysReg::kVTTBR_EL2, SysReg::kHCR_EL2};
+const SysRegList kConfigWrite(kConfigEncs);
+
+TEST(ListTransferTest, El2UnderTheHostConfigMatchesTheLoop) {
+  ExpectListsMatchLoop([](ListRig& r, bool lists) {
+    std::vector<uint64_t> seen;
+    for (int round = 0; round < 3; ++round) {
+      for (ContextSlots slots : {ContextSlots::kNone, ContextSlots::kPerEntry,
+                                 ContextSlots::kBlock}) {
+        uint64_t in[6] = {1, 2, 3, 4, 5, static_cast<uint64_t>(round)};
+        uint64_t out[6] = {};
+        r.Write(lists, kEl2Write, in, slots);
+        r.Read(lists, kEl2Read, out, slots);
+        seen.insert(seen.end(), out, out + 6);
+      }
+    }
+    return seen;
+  });
+}
+
+TEST(ListTransferTest, TrappingEntryUnderNvMatchesTheLoop) {
+  ExpectListsMatchLoop([](ListRig& r, bool lists) {
+    r.host.default_value = 0xE5;
+    r.cpu.PokeReg(RegId::kHCR_EL2, NvHcr(/*nv1=*/false));
+    std::vector<uint64_t> seen;
+    r.cpu.RunLowerEl(El::kEl1, [&] {
+      for (ContextSlots slots : {ContextSlots::kPerEntry, ContextSlots::kBlock,
+                                 ContextSlots::kPerEntry}) {
+        uint64_t in[4] = {7, 8, 9, 10};
+        uint64_t out[4] = {};
+        r.Write(lists, kMixedWrite, in, slots);
+        r.Read(lists, kMixedRead, out, slots);
+        seen.insert(seen.end(), out, out + 4);
+      }
+    });
+    EXPECT_EQ(r.host.syndromes.size(), 6u) << "ESR_EL2 traps every time";
+    return seen;
+  });
+}
+
+TEST(ListTransferTest, NeveRedirectsMatchTheLoop) {
+  ExpectListsMatchLoop([](ListRig& r, bool lists) {
+    Pa page(8ull << 20);
+    r.cpu.PokeReg(RegId::kVNCR_EL2, VncrEl2::Make(page.value, true).bits());
+    r.cpu.PokeReg(RegId::kHCR_EL2, NvHcr(/*nv1=*/true));
+    r.mem.Write64(Pa(page.value + DeferredPageOffset(RegId::kVTTBR_EL2)),
+                  0xABCD);
+    std::vector<uint64_t> seen;
+    r.cpu.RunLowerEl(El::kEl1, [&] {
+      for (int round = 0; round < 3; ++round) {
+        uint64_t in[4] = {0x100, 0x200, 0x300, static_cast<uint64_t>(round)};
+        uint64_t out[4] = {};
+        uint64_t redirected[3] = {};
+        r.Write(lists, kNeveWrite, in, ContextSlots::kPerEntry);
+        r.Read(lists, kNeveRead, out, ContextSlots::kBlock);
+        // Every entry here is an EL1 register, so this list plans at EL1.
+        r.Read(lists, kRedirectRead, redirected, ContextSlots::kPerEntry);
+        seen.insert(seen.end(), out, out + 4);
+        seen.insert(seen.end(), redirected, redirected + 3);
+      }
+    });
+    EXPECT_TRUE(r.host.syndromes.empty());
+    seen.push_back(
+        r.mem.Read64(Pa(page.value + DeferredPageOffset(RegId::kHCR_EL2))));
+    return seen;
+  });
+}
+
+TEST(ListTransferTest, HcrWriteBetweenCallsResolvesUnderTheNewConfig) {
+  ExpectListsMatchLoop([](ListRig& r, bool lists) {
+    std::vector<uint64_t> seen;
+    uint64_t out[4] = {};
+    // NV without NV1: SCTLR_EL1 is a plain register at virtual EL2.
+    uint64_t config[2] = {0x4000, NvHcr(/*nv1=*/false)};
+    r.Write(lists, kConfigWrite, config, ContextSlots::kNone);
+    for (int round = 0; round < 2; ++round) {
+      r.cpu.RunLowerEl(El::kEl1, [&] {
+        r.Read(lists, kMixedRead, out, ContextSlots::kPerEntry);
+      });
+      seen.insert(seen.end(), out, out + 4);
+    }
+    size_t traps = r.host.syndromes.size();
+    // NV1 on: SCTLR_EL1 now traps too, plan or no plan.
+    uint64_t nv1 = NvHcr(/*nv1=*/true);
+    r.cpu.SysRegWrite(SysReg::kHCR_EL2, nv1);
+    r.cpu.RunLowerEl(El::kEl1, [&] {
+      r.Read(lists, kMixedRead, out, ContextSlots::kPerEntry);
+    });
+    seen.insert(seen.end(), out, out + 4);
+    EXPECT_EQ(r.host.syndromes.size(), traps + 2);
+    EXPECT_EQ(r.host.syndromes[traps].sysreg, SysReg::kSCTLR_EL1);
+    // A list that writes HCR_EL2 never plans: rerun under the reset
+    // configuration it first ran under, it must still re-key the cache.
+    r.cpu.PokeReg(RegId::kHCR_EL2, 0);
+    config[1] = nv1;
+    r.Write(lists, kConfigWrite, config, ContextSlots::kNone);
+    r.cpu.RunLowerEl(El::kEl1, [&] {
+      r.Read(lists, kMixedRead, out, ContextSlots::kPerEntry);
+    });
+    EXPECT_EQ(r.host.syndromes.size(), traps + 4);
+    return seen;
+  });
+}
+
+TEST(ListTransferTest, WatchdogBelowEl2FiresAtTheSameCycle) {
+  ExpectListsMatchLoop([](ListRig& r, bool lists) {
+    r.cpu.PokeReg(RegId::kHCR_EL2, NvHcr(/*nv1=*/false));
+    uint64_t out[4] = {};
+    // The EL1 list's plan exists before the watchdog is armed.
+    r.cpu.RunLowerEl(El::kEl1, [&] {
+      r.Read(lists, kEl1Read, out, ContextSlots::kPerEntry);
+    });
+    uint64_t faulted_at = 0;
+    try {
+      r.cpu.RunLowerEl(El::kEl1, [&] {
+        uint64_t step = r.cpu.cost().sysreg_access + r.cpu.cost().mem_access;
+        r.cpu.SetWatchdogDeadline(r.cpu.cycles() + step + 1);
+        r.Read(lists, kEl1Read, out, ContextSlots::kPerEntry);
+      });
+    } catch (const GuestFaultException&) {
+      faulted_at = r.cpu.cycles();
+    }
+    EXPECT_NE(faulted_at, 0u) << "the watchdog must fire mid-list";
+    return std::vector<uint64_t>{faulted_at, out[0]};
+  });
+}
+
+TEST(ListTransferTest, DisabledCacheMatchesTheLoop) {
+  ExpectListsMatchLoop([](ListRig& r, bool lists) {
+    r.cpu.resolution_cache().set_enabled(false);
+    std::vector<uint64_t> seen;
+    for (int round = 0; round < 3; ++round) {
+      uint64_t in[6] = {9, 8, 7, 6, 5, 4};
+      uint64_t out[6] = {};
+      r.Write(lists, kEl2Write, in, ContextSlots::kBlock);
+      r.Read(lists, kEl2Read, out, ContextSlots::kPerEntry);
+      seen.insert(seen.end(), out, out + 6);
+    }
+    EXPECT_EQ(r.cpu.resolution_cache().misses(), 0u);
+    return seen;
+  });
+}
+
+TEST(ListTransferTest, FirstSharesTheWholeListsPlans) {
+  ExpectListsMatchLoop([](ListRig& r, bool lists) {
+    std::vector<uint64_t> seen;
+    for (size_t n : {2, 6, 3, 6, 1}) {
+      uint64_t out[6] = {};
+      r.Read(lists, kEl2Read.First(n), out, ContextSlots::kPerEntry);
+      seen.insert(seen.end(), out, out + n);
+    }
+    return seen;
+  });
 }
 
 // --- MMU ------------------------------------------------------------------------------

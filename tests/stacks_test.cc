@@ -169,5 +169,45 @@ TEST(ArmStackTest, Gicv2KnobMattersOnlyUnderNeve) {
   EXPECT_GT(traps(true, true), traps(true, false));
 }
 
+// --- resolution cache on the trap path ------------------------------------------
+
+// Warms `cfg` with 10 nested hypercalls, then requires 100 more to add no
+// resolution-cache misses and no bank recycles.
+void ExpectNoSteadyStateMisses(const StackConfig& cfg) {
+  ArmStack stack(cfg, 1);
+  const ResolutionCache& rc = stack.machine().cpu(0).resolution_cache();
+  uint64_t misses = 0, invalidations = 0;
+  stack.Run([&](GuestEnv& env) {
+    for (int i = 0; i < 10; ++i) {
+      env.Hvc(kHvcTestCall);
+    }
+    misses = rc.misses();
+    invalidations = rc.invalidations();
+    for (int i = 0; i < 100; ++i) {
+      env.Hvc(kHvcTestCall);
+    }
+  });
+  EXPECT_EQ(rc.misses() - misses, 0u);
+  EXPECT_EQ(rc.invalidations() - invalidations, 0u);
+}
+
+// A nested round trip cycles through up to six (HCR_EL2, VNCR_EL2)
+// configurations on NEVE stacks, and the cache keeps a bank for each. Four
+// banks took 648 misses per hypercall on neve and 337 on neve_vhe.
+TEST(ResolutionCacheTest, SteadyStateNestedHypercallsTakeNoMisses) {
+  for (bool neve : {false, true}) {
+    for (bool vhe : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "neve=" << neve << " vhe=" << vhe);
+      ExpectNoSteadyStateMisses(neve ? StackConfig::NestedNeve(vhe)
+                                     : StackConfig::NestedV83(vhe));
+    }
+  }
+}
+
+TEST(ResolutionCacheTest, EightBanksFitInTheMemoryOfFour) {
+  // Four banks of 24-byte entries took 75,680 bytes.
+  EXPECT_LE(sizeof(ResolutionCache), 75'680u);
+}
+
 }  // namespace
 }  // namespace neve
