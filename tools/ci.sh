@@ -138,8 +138,9 @@ run_tsan() {
 
 # Perf + serialization smoke on the Release build: run the simulator-core
 # microbenchmarks into BENCH_simcore.json, validate the JSON with the
-# schema checker, enforce the guest-ops/sec and stack-construction floors
-# (tools/perf_ratchet.txt; two extra runs of just the ratcheted benchmarks
+# schema checker, enforce the guest-ops/sec, stack-construction and nested
+# hypercall floors (tools/perf_ratchet.txt; two extra runs of just the
+# ratcheted benchmarks
 # make the check best-of-3 so one noisy run can't flake it), and prove the
 # resolution fast-path cache is behaviour-preserving by byte-comparing
 # archlint's full resolution matrix dumped with the cache on and off.
@@ -160,10 +161,10 @@ run_smoke() {
   trap 'rm -rf "$tmp"; trap - RETURN' RETURN
   echo "==> [smoke] perf ratchet (best-of-3)"
   "$build_dir/bench/simcore_gbench" \
-    --benchmark_filter='GuestOpsBurst|StackConstruction' \
+    --benchmark_filter='GuestOpsBurst|StackConstruction|NestedHypercallV83($|Uncached)' \
     --json="$tmp/ratchet1.json" >/dev/null
   "$build_dir/bench/simcore_gbench" \
-    --benchmark_filter='GuestOpsBurst|StackConstruction' \
+    --benchmark_filter='GuestOpsBurst|StackConstruction|NestedHypercallV83($|Uncached)' \
     --json="$tmp/ratchet2.json" >/dev/null
   "$build_dir/tools/perf_ratchet" "$ROOT/tools/perf_ratchet.txt" \
     "$ROOT/BENCH_simcore.json" "$tmp/ratchet1.json" "$tmp/ratchet2.json"

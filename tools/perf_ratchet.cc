@@ -9,8 +9,8 @@
 // single noisy run on a loaded CI host can't fail a floor that a retry
 // clears (the same min-of-reps discipline as tests/attr_test.cc's
 // AttrOverheadGuard). ci.sh's smoke stage feeds the full BENCH_simcore.json
-// run plus two extra runs of the GuestOpsBurst and StackConstruction
-// benchmarks.
+// run plus two extra runs of the GuestOpsBurst, StackConstruction and
+// NestedHypercallV83(Uncached) benchmarks.
 //
 // Ratchet file format (tools/perf_ratchet.txt), '#' comments allowed:
 //
@@ -18,7 +18,8 @@
 //       best(numerator).items_per_second / best(denominator) >= floor.
 //       Host-independent: both sides ran on the same machine, so the ratio
 //       survives slow CI hardware. This is the lock on the batch engine's
-//       speedup over the interpreter.
+//       speedup over the interpreter and on the nested hypercall's
+//       cached/uncached gap.
 //
 //   min_items_per_second <bench> <floor>
 //       best(bench).items_per_second >= floor. Host-dependent; floors are
