@@ -121,9 +121,9 @@ std::string StripImpl(std::string_view content, bool strip_literals) {
 
 // A source file plus the preprocessed views the rules match against.
 // `uncommented` keeps string literals (for required-needle searches like
-// Counter("cpu.traps_to_el2") and for .inc quoted NAMEs); `stripped` blanks
-// them too (for call-site pattern matching). Justification comments and
-// call-argument text are read from the original `f.content`.
+// traps_to_el2_{"cpu.traps_to_el2"} and for .inc quoted NAMEs); `stripped`
+// blanks them too (for call-site pattern matching). Justification comments
+// and call-argument text are read from the original `f.content`.
 struct LintedFile {
   const SourceFile& f;
   std::string uncommented;
@@ -314,6 +314,18 @@ void LintIncRows(const LintedFile& lf, std::string_view macro,
 void LintTrapInstrumentation(const LintedFile& lf,
                              std::vector<Diagnostic>& d) {
   const SourceFile& f = lf.f;
+  // The trap counter is a metric handle: cpu.h names it, cpu.cc bumps it.
+  // The needles hold the metric name, so search the uncommented view
+  // (literals intact, but a commented-out line does not satisfy).
+  if (PathMatches(f.path, "src/cpu/cpu.h")) {
+    if (lf.uncommented.find("traps_to_el2_{\"cpu.traps_to_el2\"}") ==
+        std::string::npos) {
+      d.push_back({f.path, 0, "trap-missing-counter",
+                   "Cpu declares no traps_to_el2_ handle on the "
+                   "cpu.traps_to_el2 counter"});
+    }
+    return;
+  }
   if (!PathMatches(f.path, "src/cpu/cpu.cc")) {
     return;
   }
@@ -350,12 +362,11 @@ void LintTrapInstrumentation(const LintedFile& lf,
        "trap path never charges cost_.trap_entry"},
       {"cost_.trap_return", "trap-missing-return-charge",
        "trap path never charges cost_.trap_return"},
-      {"Counter(\"cpu.traps_to_el2\")", "trap-missing-counter",
-       "trap path never bumps the cpu.traps_to_el2 counter"},
+      {"traps_to_el2_.In(", "trap-missing-counter",
+       "trap path never bumps the cpu.traps_to_el2 counter (traps_to_el2_)"},
   };
   for (const Required& req : kRequired) {
-    // Needles contain quoted metric names, so search the uncommented view
-    // (literals intact, but a commented-out charge does not satisfy).
+    // A commented-out charge or bump does not satisfy.
     if (lf.uncommented.find(req.needle) == std::string::npos) {
       d.push_back({f.path, 0, req.check, req.message});
     }

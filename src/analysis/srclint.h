@@ -12,6 +12,8 @@
 //   trap-*                every TakeTrapToEl2 call site charges a detect
 //                         cost, and the trap path charges trap_entry /
 //                         trap_return and bumps the cpu.traps_to_el2 counter
+//                         (src/cpu/cpu.h declares the traps_to_el2_ handle
+//                         under that name; cpu.cc bumps it)
 //   guest-reachable-abort NEVE_CHECK / NEVE_CHECK_MSG / abort() in the
 //                         guest-drivable layers (src/hyp, src/gic, src/x86)
 //                         without a `// host-invariant:` justification on

@@ -1,8 +1,8 @@
 // Deterministic lock-order (deadlock) detector behind neve::Mutex.
 //
-// Every neve::Mutex belongs to a lock *class* keyed by its name ("obs.tracer",
+// Every neve::Mutex belongs to a lock *class* keyed by its name ("obs.metrics",
 // "base.panic_hooks", ...); all instances of a class -- e.g. every Machine's
-// tracer mutex -- share one node in a process-wide acquisition graph. Classes,
+// metrics mutex -- share one node in a process-wide acquisition graph. Classes,
 // not instances, key the graph so its contents depend only on which nestings
 // the workload performs, never on thread count, scheduling, or machine
 // construction order: GraphDump() is byte-identical across --threads for a

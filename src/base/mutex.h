@@ -11,7 +11,7 @@
 //      acquisition graph; a nesting that could deadlock panics on any
 //      interleaving that performs both orders.
 //
-// Name mutexes by subsystem ("obs.tracer", "hyp.virtio_ring"): all
+// Name mutexes by subsystem ("obs.metrics", "hyp.virtio_ring"): all
 // instances sharing a name are one lock class in the acquisition graph,
 // which is what keeps the graph deterministic across machine counts and
 // --threads (see lock_order.h).

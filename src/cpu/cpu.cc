@@ -1,7 +1,10 @@
 #include "src/cpu/cpu.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <string>
+#include <utility>
 
 #include "src/arch/vncr.h"
 #include "src/base/bits.h"
@@ -74,6 +77,13 @@ AttrCat TrapCatForEc(Ec ec) {
   }
   return AttrCat::kTrapOther;
 }
+
+// The trap classes in episode-histogram slot order (Cpu::EpisodeSlot); any
+// other Ec value takes the slot after them.
+constexpr Ec kEpisodeEcs[] = {Ec::kUnknown,      Ec::kWfx,      Ec::kHvc64,
+                               Ec::kSmc64,        Ec::kSysReg,   Ec::kTlbi,
+                               Ec::kEretTrap,     Ec::kInstAbortLow,
+                               Ec::kDataAbortLow, Ec::kIrq};
 
 // Dense ids and plan-target ranges for SysRegList, handed out as lists are
 // constructed (at static initialization for namespace-scope lists).
@@ -149,6 +159,30 @@ AccessContext Cpu::CurrentAccessContext() const {
                        .vncr_enabled = VncrEnabled()};
 }
 
+size_t Cpu::EpisodeSlot(Ec ec) {
+  static_assert(std::size(kEpisodeEcs) + 1 == kNumEpisodeSlots);
+  return static_cast<size_t>(
+      std::find(std::begin(kEpisodeEcs), std::end(kEpisodeEcs), ec) -
+      std::begin(kEpisodeEcs));
+}
+
+std::array<HistogramRef, Cpu::kNumEpisodeSlots> Cpu::EpisodeHistogramRefs() {
+  // "cpu.trap_episode_cycles." + EcName per slot, built once per process;
+  // the handles keep pointers into it. Ec{0xFF} is no enumerator, so the
+  // catch-all slot gets EcName's "EC?".
+  static const auto names = [] {
+    std::array<std::string, kNumEpisodeSlots> out;
+    for (size_t i = 0; i < out.size(); ++i) {
+      Ec ec = i < std::size(kEpisodeEcs) ? kEpisodeEcs[i] : Ec{0xFF};
+      out[i] = std::string("cpu.trap_episode_cycles.") + EcName(ec);
+    }
+    return out;
+  }();
+  return [&]<size_t... I>(std::index_sequence<I...>) {
+    return std::array{HistogramRef(names[I].c_str())...};
+  }(std::make_index_sequence<kNumEpisodeSlots>());
+}
+
 uint64_t Cpu::ArchStateDigest() const {
   Digest d;
   d.Mix(static_cast<uint64_t>(el_));
@@ -191,7 +225,7 @@ TrapOutcome Cpu::TakeTrapToEl2(const Syndrome& s, uint32_t detect_cost) {
   bool observing = ObsActive(obs_);
   uint64_t trace_id = 0;
   if (observing) {
-    obs_->metrics().Counter("cpu.traps_to_el2").Add(1);
+    traps_to_el2_.In(obs_->metrics()).Add(1);
     trace_id = obs_->tracer().Begin(index_, "trap", EcName(s.ec),
                                     episode_start);
   }
@@ -231,11 +265,10 @@ TrapOutcome Cpu::TakeTrapToEl2(const Syndrome& s, uint32_t detect_cost) {
       // the begin event's ID as the bucket exemplar: an outlier links
       // straight back to its trace span.
       uint64_t episode = cycles_ - episode_start;
-      obs_->metrics()
-          .Histogram("cpu.trap_episode_cycles")
+      trap_episode_cycles_.In(obs_->metrics())
           .RecordWithExemplar(episode, trace_id);
-      obs_->metrics()
-          .Histogram(std::string("cpu.trap_episode_cycles.") + EcName(s.ec))
+      trap_episode_cycles_by_ec_[EpisodeSlot(s.ec)]
+          .In(obs_->metrics())
           .RecordWithExemplar(episode, trace_id);
     }
   }
@@ -253,7 +286,7 @@ AccessResolution Cpu::ResolveCached(SysReg enc, bool is_write) {
     AccessResolution hit;
     if (rcache_.Lookup(enc, el_, is_write, &hit)) {
       if (ObsActive(obs_)) {
-        obs_->metrics().Counter("cpu.resolve_cache_hits").Add(1);
+        resolve_cache_hits_.In(obs_->metrics()).Add(1);
       }
       return hit;
     }
@@ -263,7 +296,7 @@ AccessResolution Cpu::ResolveCached(SysReg enc, bool is_write) {
   if (rcache_.enabled()) {
     rcache_.Insert(enc, el_, is_write, r);
     if (ObsActive(obs_)) {
-      obs_->metrics().Counter("cpu.resolve_cache_misses").Add(1);
+      resolve_cache_misses_.In(obs_->metrics()).Add(1);
     }
   }
   return r;
@@ -286,7 +319,7 @@ AccessResolution Cpu::ResolveCached(SysReg enc, bool is_write) {
       // NEVE rewrote the register read into a plain load (section 6.1).
       ChargeAttributed(cost_.mem_access, AttrCat::kVncrRedirect);
       if (ObsActive(obs_)) {
-        obs_->metrics().Counter("cpu.vncr_redirects").Add(1);
+        vncr_redirects_.In(obs_->metrics()).Add(1);
         obs_->tracer().Instant(index_, "vncr", SysRegName(enc), cycles_);
       }
       uint64_t value = mem_->Read64(VncrPage() + r.mem_offset);
@@ -337,7 +370,7 @@ AccessResolution Cpu::ResolveCached(SysReg enc, bool is_write) {
     case AccessResolution::Kind::kMemory:
       ChargeAttributed(cost_.mem_access, AttrCat::kVncrRedirect);
       if (ObsActive(obs_)) {
-        obs_->metrics().Counter("cpu.vncr_redirects").Add(1);
+        vncr_redirects_.In(obs_->metrics()).Add(1);
         obs_->tracer().Instant(index_, "vncr", SysRegName(enc), cycles_);
       }
       // Injected stale VNCR contents: the deferred write never lands, so
@@ -415,7 +448,7 @@ void Cpu::ChargePlanned(size_t n, ContextSlots slots) {
   Charge(static_cast<uint32_t>(n) * per_entry);
   rcache_.AddHits(n);
   if (ObsActive(obs_)) {
-    obs_->metrics().Counter("cpu.resolve_cache_hits").Add(n);
+    resolve_cache_hits_.In(obs_->metrics()).Add(n);
   }
 }
 
@@ -513,7 +546,7 @@ void Cpu::EretFromVirtualEl2() {
   NEVE_CHECK_MSG(el_ != El::kEl2,
                  "host hypervisor enters guests via RunLowerEl, not eret");
   if (ObsActive(obs_)) {
-    obs_->metrics().Counter("cpu.virtual_el2_erets").Add(1);
+    virtual_el2_erets_.In(obs_->metrics()).Add(1);
     obs_->tracer().Instant(index_, "trap", "eret_virtual_el2", cycles_);
   }
   switch (ResolveEret(CurrentAccessContext())) {

@@ -17,6 +17,7 @@
 #ifndef NEVE_SRC_CPU_CPU_H_
 #define NEVE_SRC_CPU_CPU_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -142,7 +143,8 @@ class Cpu {
   void SetGicCpuInterface(GicCpuInterface* gic) { gic_ = gic; }
   // Machine-wide observability layer (metrics + tracer); may stay null for
   // bare CPUs built outside a Machine. Hooks are no-ops unless the layer is
-  // both present and enabled.
+  // both present and enabled. The CPU's metric handles rebind to the new
+  // layer's registry on their next use.
   void SetObservability(Observability* obs) { obs_ = obs; }
   Observability* obs() const { return obs_; }
   // Machine-wide fault injector (src/fault); may stay null. Injection sites
@@ -403,6 +405,12 @@ class Cpu {
   // Exception entry to EL2 + host dispatch + return. Returns the outcome.
   TrapOutcome TakeTrapToEl2(const Syndrome& s, uint32_t detect_cost);
 
+  // Episode histograms per trap class: one slot per Ec enumerator plus one
+  // for any other value (which EcName calls "EC?").
+  static constexpr size_t kNumEpisodeSlots = 11;
+  static size_t EpisodeSlot(Ec ec);
+  static std::array<HistogramRef, kNumEpisodeSlots> EpisodeHistogramRefs();
+
   // Address translation for LoadVa/StoreVa. On success fills pa; on Stage-2
   // fault fills the syndrome for the trap. Stage-1 faults are modeling
   // errors (guests premap their address spaces) and panic.
@@ -469,6 +477,20 @@ class Cpu {
   // cache's generations; grown on the first list transfer.
   std::vector<PlanHeader> plan_headers_;
   std::vector<RegId> plan_targets_;  // not-snapshotted: see plan_headers_
+
+  // Handles of the hot metrics (metrics.h), bound to obs_'s registry on
+  // first use. not-snapshotted: host-side observability, like obs_
+  CounterRef traps_to_el2_{"cpu.traps_to_el2"};
+  CounterRef resolve_cache_hits_{"cpu.resolve_cache_hits"};
+  // not-snapshotted: metric handles, as above
+  CounterRef resolve_cache_misses_{"cpu.resolve_cache_misses"};
+  CounterRef vncr_redirects_{"cpu.vncr_redirects"};
+  // not-snapshotted: metric handles, as above
+  CounterRef virtual_el2_erets_{"cpu.virtual_el2_erets"};
+  HistogramRef trap_episode_cycles_{"cpu.trap_episode_cycles"};
+  // not-snapshotted: metric handles, as above; indexed by EpisodeSlot(ec)
+  std::array<HistogramRef, kNumEpisodeSlots> trap_episode_cycles_by_ec_ =
+      EpisodeHistogramRefs();
 };
 
 }  // namespace neve

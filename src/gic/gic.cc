@@ -41,7 +41,7 @@ void GicV3::SendPhysSgi(int from_cpu, int to_cpu, uint8_t sgi_id) {
   NEVE_CHECK_MSG(sink_, "no physical IRQ sink installed");
   uint64_t raiser_cycles = CpuRef(from_cpu).cycles();
   if (ObsActive(obs_)) {
-    obs_->metrics().Counter("gic.phys_sgis").Add(1);
+    phys_sgis_.In(obs_->metrics()).Add(1);
     obs_->tracer().Instant(from_cpu, "gic", "phys_sgi", raiser_cycles);
   }
   // Injected IPI loss: the kick never reaches the target CPU (as a wire
@@ -151,7 +151,7 @@ uint64_t GicV3::IccRead(int cpu_idx, RegId reg) {
       ++virtual_acks_[cpu_idx];
       uint64_t ack_id = 0;
       if (ObsActive(obs_)) {
-        obs_->metrics().Counter("gic.virtual_acks").Add(1);
+        virtual_acks_metric_.In(obs_->metrics()).Add(1);
         ack_id = obs_->tracer().Instant(cpu_idx, "gic", "virtual_ack",
                                         cpu.cycles(), "intid",
                                         ListReg::Intid(lr));
@@ -196,15 +196,14 @@ void GicV3::IccWrite(int cpu_idx, RegId reg, uint64_t value) {
           ++virtual_eois_[cpu_idx];
           LrAckInfo& ai = ack_info_[cpu_idx][i];
           if (ObsActive(obs_)) {
-            obs_->metrics().Counter("gic.virtual_eois").Add(1);
+            virtual_eois_metric_.In(obs_->metrics()).Add(1);
             obs_->tracer().Instant(cpu_idx, "gic", "virtual_eoi", cpu.cycles(),
                                    "intid", intid);
             if (ai.valid) {
               // Ack-to-EOI distance: how long the virtual interrupt stayed
               // active in the guest's handler. The ack instant is the
               // exemplar so a slow handler links back to its trace event.
-              obs_->metrics()
-                  .Histogram("gic.virtual_irq_active_cycles")
+              virtual_irq_active_cycles_.In(obs_->metrics())
                   .RecordWithExemplar(cpu.cycles() - ai.ack_cycles,
                                       ai.ack_trace_id);
             }

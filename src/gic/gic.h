@@ -27,6 +27,7 @@
 
 #include "src/base/bits.h"
 #include "src/cpu/cpu.h"
+#include "src/obs/metrics.h"
 
 namespace neve {
 
@@ -171,6 +172,14 @@ class GicV3 : public GicCpuInterface {
   // shard and the summed read is exact at quiescence.
   std::vector<uint64_t> virtual_acks_;  // single-mutator: snap restore
   std::vector<uint64_t> virtual_eois_;  // single-mutator: snap restore
+
+  // Handles of the hot metrics (src/obs/metrics.h), bound to obs_'s registry
+  // on first use. not-snapshotted: host-side observability, like obs_
+  CounterRef phys_sgis_{"gic.phys_sgis"};
+  CounterRef virtual_acks_metric_{"gic.virtual_acks"};
+  // not-snapshotted: metric handles, as above
+  CounterRef virtual_eois_metric_{"gic.virtual_eois"};
+  HistogramRef virtual_irq_active_cycles_{"gic.virtual_irq_active_cycles"};
 };
 
 }  // namespace neve

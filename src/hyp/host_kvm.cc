@@ -225,7 +225,7 @@ void HostKvm::SwitchIntoGuest(Cpu& cpu, Vcpu& vcpu) {
   ScopedSpan span(cpu.obs(), cpu, "world_switch", "switch_into_guest");
   AttrScope attr_scope(cpu, AttrCat::kWorldSwitchEnter);
   if (ObsActive(cpu.obs())) {
-    cpu.obs()->metrics().Counter("hyp.switches_into_guest").Add(1);
+    switches_into_guest_.In(cpu.obs()->metrics()).Add(1);
   }
 
   cpu.Compute(SwCost::kRunLoop);
@@ -310,7 +310,7 @@ void HostKvm::SwitchOutOfGuest(Cpu& cpu, Vcpu& vcpu) {
   ScopedSpan span(cpu.obs(), cpu, "world_switch", "switch_out_of_guest");
   AttrScope attr_scope(cpu, AttrCat::kWorldSwitchExit);
   if (ObsActive(cpu.obs())) {
-    cpu.obs()->metrics().Counter("hyp.switches_out_of_guest").Add(1);
+    switches_out_of_guest_.In(cpu.obs()->metrics()).Add(1);
   }
 
   TouchPerCpuData(cpu);
@@ -877,13 +877,13 @@ TrapOutcome HostKvm::HandleDataAbort(Cpu& cpu, Vcpu& vcpu, const Syndrome& s) {
     }
     if (ObsActive(cpu.obs())) {
       MetricsRegistry& m = cpu.obs()->metrics();
-      m.Counter("shadow_s2.faults").Add(1);
+      shadow_s2_faults_.In(m).Add(1);
       switch (result) {
         case ShadowS2::FixupResult::kInstalled:
-          m.Counter("shadow_s2.installed").Add(1);
+          shadow_s2_installed_.In(m).Add(1);
           break;
         case ShadowS2::FixupResult::kVirtualFault:
-          m.Counter("shadow_s2.virtual_faults").Add(1);
+          shadow_s2_virtual_faults_.In(m).Add(1);
           break;
         case ShadowS2::FixupResult::kHostFault:
           break;
@@ -956,7 +956,7 @@ void HostKvm::DeliverToVel2(Cpu& cpu, Vcpu& vcpu, const Syndrome& s) {
   cpu.Compute(SwCost::kVel2Deliver);
   ScopedSpan span(cpu.obs(), cpu, "hyp", "vel2_deliver");
   if (ObsActive(cpu.obs())) {
-    cpu.obs()->metrics().Counter("hyp.vel2_deliveries").Add(1);
+    vel2_deliveries_.In(cpu.obs()->metrics()).Add(1);
   }
 
   // An hvc from the guest hypervisor's own kernel is the return half of its
@@ -1064,7 +1064,7 @@ void HostKvm::EmulateSgi(Cpu& cpu, Vcpu& vcpu, uint64_t sgir) {
 void HostKvm::InjectVirq(Vcpu& vcpu, uint32_t virq, Cpu* raiser,
                          uint64_t raiser_cycles) {
   if (Observability& obs = machine_->obs(); ObsActive(&obs)) {
-    obs.metrics().Counter("gic.virq_injections").Add(1);
+    virq_injections_.In(obs.metrics()).Add(1);
     if (raiser != nullptr) {
       obs.tracer().Instant(raiser->index(), "gic", "inject_virq",
                            raiser->cycles(), "intid", virq);

@@ -27,6 +27,7 @@
 #include "src/base/status.h"
 #include "src/hyp/vm.h"
 #include "src/hyp/world_switch.h"
+#include "src/obs/metrics.h"
 #include "src/sim/machine.h"
 
 namespace neve {
@@ -215,6 +216,19 @@ class HostKvm : public El2Host {
   // not-snapshotted: restart checkpoints are a host-local recovery aid, not
   // machine state (a migrated VM starts with none, like a freshly booted one)
   std::unordered_map<const Vm*, VmCheckpoint> checkpoints_;
+
+  // Handles of the hot metrics (src/obs/metrics.h), bound to the trapping
+  // CPU's registry on first use. not-snapshotted: host-side observability
+  CounterRef switches_into_guest_{"hyp.switches_into_guest"};
+  CounterRef switches_out_of_guest_{"hyp.switches_out_of_guest"};
+  // not-snapshotted: metric handles, as above
+  CounterRef vel2_deliveries_{"hyp.vel2_deliveries"};
+  CounterRef shadow_s2_faults_{"shadow_s2.faults"};
+  // not-snapshotted: metric handles, as above
+  CounterRef shadow_s2_installed_{"shadow_s2.installed"};
+  CounterRef shadow_s2_virtual_faults_{"shadow_s2.virtual_faults"};
+  // not-snapshotted: metric handles, as above
+  CounterRef virq_injections_{"gic.virq_injections"};
 };
 
 }  // namespace neve

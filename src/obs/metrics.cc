@@ -1,6 +1,7 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -100,6 +101,12 @@ MetricHistogram::Summary MetricHistogram::Summarize() const {
                  .p99 = Percentile(99)};
 }
 
+MetricsRegistry::MetricsRegistry()
+    : serial_([] {
+        static std::atomic<uint64_t> next{1};
+        return next.fetch_add(1, std::memory_order_relaxed);
+      }()) {}
+
 MetricCounter& MetricsRegistry::Counter(std::string_view name) {
   MutexLock lock(mu_);
   auto it = counters_.find(name);
@@ -169,13 +176,6 @@ std::string MetricsRegistry::TextReport() const {
     oss << "histogram " << name << " = " << buf << "\n";
   }
   return oss.str();
-}
-
-void MetricsRegistry::Reset() {
-  MutexLock lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
 }
 
 }  // namespace neve

@@ -1,5 +1,5 @@
 // Machine-wide metrics registry: named counters, gauges and log2-bucketed
-// latency histograms.
+// latency histograms, plus handles that bind a static name to its metric.
 //
 // The registry is owned per-Machine and shared by every CPU and device model
 // of that machine, so a counter like "cpu.traps_to_el2" aggregates across
@@ -8,16 +8,24 @@
 // keeping the hot paths at their uninstrumented cost (the "zero-cost when
 // disabled" contract verified by bench/simcore_gbench).
 //
+// Hot sites record through a handle (CounterRef, HistogramRef): a member
+// holding the metric's static name and the metric it last bound to, so an
+// enabled site costs a compare and a store, not a locked lookup by string.
+// Cold sites may keep looking metrics up by name. Metrics are never removed
+// from a registry (there is no Reset), which is what keeps a bound handle
+// valid for the registry's lifetime.
+//
 // Concurrency (DESIGN.md 6i/6j): registration -- the name->metric map
 // structure -- is guarded by mu_, so threads may look metrics up
 // concurrently (the --threads= bench fan-out constructs and reads registries
-// on worker threads). The *recorded values* (Add/Set/Record on the returned
-// references) stay unsynchronized: with the obs layer enabled a Machine has
-// exactly one mutator thread at a time, and the ParallelFor join publishes
-// its writes to whoever aggregates. The SMP engine (sim/smp.h) runs many
-// mutator threads per machine, which is why SmpEngine::Run refuses to start
-// with obs enabled -- SMP runs keep their observability through the sharded
-// cycle attribution (attr.h) and per-vCPU counters, not this registry.
+// on worker threads); a handle reaches it only on a bind. The *recorded
+// values* (Add/Set/Record on the returned references) stay unsynchronized:
+// with the obs layer enabled a Machine has exactly one mutator thread at a
+// time, and the ParallelFor join publishes its writes to whoever aggregates.
+// The SMP engine (sim/smp.h) runs many mutator threads per machine, which is
+// why SmpEngine::Run refuses to start with obs enabled -- SMP runs keep
+// their observability through the sharded cycle attribution (attr.h) and
+// per-vCPU counters, not this registry.
 //
 // Naming scheme (see DESIGN.md "Observability"): dot-separated
 // `<subsystem>.<event>[,k=v...]`, e.g. "cpu.traps_to_el2",
@@ -34,6 +42,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "src/base/mutex.h"
 #include "src/base/thread_annotations.h"
@@ -145,6 +154,12 @@ class MetricHistogram {
 // instrumentation sites may cache them.
 class MetricsRegistry {
  public:
+  MetricsRegistry();
+
+  // Unique per registry in the process and never 0, so a handle can tell
+  // the registry it bound to from one later built at the same address.
+  uint64_t serial() const { return serial_; }
+
   MetricCounter& Counter(std::string_view name) EXCLUDES(mu_);
   MetricGauge& Gauge(std::string_view name) EXCLUDES(mu_);
   MetricHistogram& Histogram(std::string_view name) EXCLUDES(mu_);
@@ -175,9 +190,8 @@ class MetricsRegistry {
   // Human-readable dump of every metric, one per line, sorted by name.
   std::string TextReport() const EXCLUDES(mu_);
 
-  void Reset() EXCLUDES(mu_);
-
  private:
+  const uint64_t serial_;
   // Guards the map structure (registration); see the header comment for why
   // the metric values themselves stay owner-serialized.
   mutable Mutex mu_{"obs.metrics"};
@@ -186,6 +200,49 @@ class MetricsRegistry {
   std::map<std::string, MetricHistogram, std::less<>> histograms_
       GUARDED_BY(mu_);
 };
+
+// A handle on one metric by static name. In(reg) returns the metric in
+// `reg`, looking the name up only when `reg` is not the registry of the
+// last bind: an object re-wired to another registry rebinds by itself.
+// Binding happens on first use, not at wiring, so the metric comes into
+// being when it is first recorded, exactly as a lookup by name would make
+// it -- reports never list a metric the run did not touch. Keep handles as
+// members of objects owned by one Machine, never as statics: Machines run on
+// different threads, and In() writes the handle.
+template <typename Metric>
+class MetricRef {
+  static_assert(std::is_same_v<Metric, MetricCounter> ||
+                std::is_same_v<Metric, MetricHistogram>);
+
+ public:
+  // `name` must be a static string.
+  explicit constexpr MetricRef(const char* name) : name_(name) {}
+
+  Metric& In(MetricsRegistry& reg) {
+    if (reg.serial() != serial_) [[unlikely]] {
+      Bind(reg);
+    }
+    return *metric_;
+  }
+
+ private:
+  // Out of line, so a hot site's In() stays a compare and a load.
+  [[gnu::noinline]] void Bind(MetricsRegistry& reg) {
+    if constexpr (std::is_same_v<Metric, MetricCounter>) {
+      metric_ = &reg.Counter(name_);
+    } else {
+      metric_ = &reg.Histogram(name_);
+    }
+    serial_ = reg.serial();
+  }
+
+  const char* name_;
+  uint64_t serial_ = 0;  // serial() of the registry metric_ lives in
+  Metric* metric_ = nullptr;
+};
+
+using CounterRef = MetricRef<MetricCounter>;
+using HistogramRef = MetricRef<MetricHistogram>;
 
 }  // namespace neve
 

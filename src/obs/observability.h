@@ -2,18 +2,24 @@
 // tracer behind a single enable switch.
 //
 // Wiring: Machine owns an Observability and hands a pointer to every Cpu,
-// the GIC and (via the hypervisors) device models. Instrumentation sites are
-// written as
+// the GIC and (via the hypervisors) device models. Hot instrumentation
+// sites record through a metric handle held by the instrumented object
+// (metrics.h) and pass static names to the tracer:
 //
+//     CounterRef traps_to_el2_{"cpu.traps_to_el2"};  // a Cpu member
+//     ...
 //     if (ObsActive(obs_)) {
-//       obs_->metrics().Counter("cpu.traps_to_el2").Add();
+//       traps_to_el2_.In(obs_->metrics()).Add(1);
+//       obs_->tracer().Instant(index_, "trap", EcName(s.ec), cycles_);
 //     }
 //
 // so a disabled (or absent) layer costs one pointer test and one predictable
 // branch -- the zero-cost-when-disabled contract bench/simcore_gbench
-// guards. Spans use the ScopedSpan RAII helper below, which captures the
-// enable decision at construction so a span begun while enabled always
-// closes.
+// guards -- and an enabled one a compare and a store per record, with no
+// lock and no allocation. Cold sites may look metrics up by name instead
+// (metrics().Counter("fault.vm_kills")). Spans use the ScopedSpan RAII
+// helper below, which captures the enable decision at construction so a
+// span begun while enabled always closes.
 
 #ifndef NEVE_SRC_OBS_OBSERVABILITY_H_
 #define NEVE_SRC_OBS_OBSERVABILITY_H_
@@ -76,10 +82,9 @@ inline bool ObsActive(const Observability* obs) {
 //
 //     ScopedSpan span(cpu.obs(), cpu, "world_switch", "save_el1");
 //
-// `name` must be a static string (all call sites pass literals): holding a
-// const char* keeps a disabled span to two pointer tests with no std::string
-// materialization -- world-switch phases run 100+ times per nested trap, so
-// an allocation here would break the zero-cost contract.
+// `name` must be a static string, as for every tracer event: a disabled span
+// costs two pointer tests and an enabled one two events written into the
+// ring -- world-switch phases run 100+ times per nested trap.
 template <typename Clocked>
 class ScopedSpan {
  public:

@@ -4,6 +4,7 @@
 
 #include "src/base/log.h"
 #include "src/base/status.h"
+#include "src/obs/metrics.h"
 #include "src/obs/report.h"
 
 namespace neve {
@@ -27,55 +28,58 @@ Tracer::Tracer(size_t capacity) : capacity_(capacity) {
   NEVE_CHECK(capacity > 0);
 }
 
-uint64_t Tracer::Push(TraceEvent ev) {
-  ev.id = next_id_++;
-  uint64_t id = ev.id;
+inline TraceEvent& Tracer::NextSlot() {
   if (events_.size() < capacity_) {
-    events_.push_back(std::move(ev));
-    return id;
+    return events_.emplace_back();
   }
-  events_[next_] = std::move(ev);
-  next_ = (next_ + 1) % capacity_;
+  TraceEvent& slot = events_[next_];
+  if (++next_ == capacity_) {
+    next_ = 0;
+  }
   ++dropped_;
   if (drop_counter_ != nullptr) {
     drop_counter_->Add(1);
   }
-  return id;
+  return slot;
 }
 
-uint64_t Tracer::Begin(int cpu, const char* category, std::string name,
+uint64_t Tracer::Begin(int cpu, const char* category, const char* name,
                        uint64_t ts) {
-  MutexLock lock(mu_);
-  return Push(TraceEvent{.phase = TracePhase::kBegin,
-                         .cpu = cpu,
-                         .ts = ts,
-                         .category = category,
-                         .name = std::move(name)});
+  TraceEvent& ev = NextSlot();
+  ev = {.phase = TracePhase::kBegin,
+        .cpu = cpu,
+        .ts = ts,
+        .category = category,
+        .name = name,
+        .id = next_id_++};
+  return ev.id;
 }
 
-void Tracer::End(int cpu, const char* category, std::string name,
+void Tracer::End(int cpu, const char* category, const char* name,
                  uint64_t ts) {
-  MutexLock lock(mu_);
-  Push(TraceEvent{.phase = TracePhase::kEnd,
-                  .cpu = cpu,
-                  .ts = ts,
-                  .category = category,
-                  .name = std::move(name)});
+  NextSlot() = {.phase = TracePhase::kEnd,
+                .cpu = cpu,
+                .ts = ts,
+                .category = category,
+                .name = name,
+                .id = next_id_++};
 }
 
-uint64_t Tracer::Instant(int cpu, const char* category, std::string name,
+uint64_t Tracer::Instant(int cpu, const char* category, const char* name,
                          uint64_t ts, const char* arg_name, uint64_t arg) {
-  MutexLock lock(mu_);
-  return Push(TraceEvent{.phase = TracePhase::kInstant,
-                         .cpu = cpu,
-                         .ts = ts,
-                         .category = category,
-                         .name = std::move(name),
-                         .arg_name = arg_name,
-                         .arg = arg});
+  TraceEvent& ev = NextSlot();
+  ev = {.phase = TracePhase::kInstant,
+        .cpu = cpu,
+        .ts = ts,
+        .category = category,
+        .name = name,
+        .arg_name = arg_name,
+        .arg = arg,
+        .id = next_id_++};
+  return ev.id;
 }
 
-std::vector<TraceEvent> Tracer::SnapshotLocked() const {
+std::vector<TraceEvent> Tracer::Snapshot() const {
   std::vector<TraceEvent> out;
   out.reserve(events_.size());
   // Oldest-first: the ring's write position is the oldest slot once wrapped.
@@ -86,25 +90,12 @@ std::vector<TraceEvent> Tracer::SnapshotLocked() const {
   return out;
 }
 
-std::vector<TraceEvent> Tracer::Snapshot() const {
-  MutexLock lock(mu_);
-  return SnapshotLocked();
-}
-
 std::string Tracer::ToChromeJson() const {
-  // One consistent grab of ring + drop count; formatting runs unlocked.
-  std::vector<TraceEvent> events;
-  uint64_t dropped = 0;
-  {
-    MutexLock lock(mu_);
-    events = SnapshotLocked();
-    dropped = dropped_;
-  }
   JsonWriter w;
   w.BeginObject();
   w.Key("traceEvents");
   w.BeginArray();
-  for (const TraceEvent& ev : events) {
+  for (const TraceEvent& ev : Snapshot()) {
     w.BeginObject();
     w.Key("name");
     w.String(ev.name);
@@ -139,7 +130,7 @@ std::string Tracer::ToChromeJson() const {
   w.Key("timebase");
   w.String("simulated cycles (rendered as us)");
   w.Key("dropped_events");
-  w.Number(dropped);
+  w.Number(dropped_);
   w.EndObject();
   w.EndObject();
   return w.str();
@@ -162,7 +153,6 @@ bool Tracer::WriteChromeJson(const std::string& path) const {
 }
 
 void Tracer::Clear() {
-  MutexLock lock(mu_);
   events_.clear();
   next_ = 0;
   dropped_ = 0;

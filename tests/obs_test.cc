@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "bench/bench_util.h"
 #include "src/obs/metrics.h"
@@ -217,13 +219,64 @@ TEST(MetricsTest, TextReportListsEveryKind) {
   EXPECT_NE(out.find("cpu.episode_cycles"), std::string::npos);
 }
 
-TEST(MetricsTest, ResetClearsAllMetrics) {
+// --- Metric handles ----------------------------------------------------------
+
+TEST(MetricRefTest, BindsOnFirstUseNotAtConstruction) {
   MetricsRegistry reg;
-  reg.Counter("a").Add(5);
-  reg.Histogram("h").Record(9);
-  reg.Reset();
+  CounterRef traps("cpu.traps_to_el2");
+  HistogramRef episodes("cpu.trap_episode_cycles");
+  // A handle that was never used registers nothing, so reports do not list
+  // zero-valued metrics the run never touched.
   EXPECT_TRUE(reg.counters().empty());
   EXPECT_TRUE(reg.histograms().empty());
+  traps.In(reg).Add(2);
+  traps.In(reg).Add(3);
+  episodes.In(reg).Record(100);
+  ASSERT_NE(reg.FindCounter("cpu.traps_to_el2"), nullptr);
+  EXPECT_EQ(reg.FindCounter("cpu.traps_to_el2")->value(), 5u);
+  ASSERT_NE(reg.FindHistogram("cpu.trap_episode_cycles"), nullptr);
+  EXPECT_EQ(reg.FindHistogram("cpu.trap_episode_cycles")->count(), 1u);
+}
+
+TEST(MetricRefTest, SharesTheMetricALookupByNameReturns) {
+  MetricsRegistry reg;
+  reg.Counter("gic.phys_sgis").Add(4);
+  CounterRef sgis("gic.phys_sgis");
+  EXPECT_EQ(&sgis.In(reg), &reg.Counter("gic.phys_sgis"));
+  sgis.In(reg).Add(1);
+  EXPECT_EQ(reg.FindCounter("gic.phys_sgis")->value(), 5u);
+}
+
+TEST(MetricRefTest, RebindsWhenUsedWithAnotherRegistry) {
+  MetricsRegistry a;
+  MetricsRegistry b;
+  EXPECT_NE(a.serial(), b.serial());
+  CounterRef c("virtio.kicks");
+  c.In(a).Add(1);
+  c.In(b).Add(10);
+  c.In(a).Add(2);
+  ASSERT_NE(a.FindCounter("virtio.kicks"), nullptr);
+  ASSERT_NE(b.FindCounter("virtio.kicks"), nullptr);
+  EXPECT_EQ(a.FindCounter("virtio.kicks")->value(), 3u);
+  EXPECT_EQ(b.FindCounter("virtio.kicks")->value(), 10u);
+}
+
+TEST(MetricRefTest, RegistryAtAReusedAddressIsANewRegistry) {
+  // A handle must not mistake a registry built where its last one died for
+  // that registry: the metric it bound to went with the old one.
+  std::optional<MetricsRegistry> reg;
+  reg.emplace();
+  uint64_t first = reg->serial();
+  CounterRef c("cpu.vncr_redirects");
+  c.In(*reg).Add(7);
+  reg.reset();
+  reg.emplace();
+  EXPECT_NE(reg->serial(), first);
+  EXPECT_NE(reg->serial(), 0u);
+  EXPECT_EQ(reg->FindCounter("cpu.vncr_redirects"), nullptr);
+  c.In(*reg).Add(1);
+  ASSERT_NE(reg->FindCounter("cpu.vncr_redirects"), nullptr);
+  EXPECT_EQ(reg->FindCounter("cpu.vncr_redirects")->value(), 1u);
 }
 
 // --- Tracer ------------------------------------------------------------------
@@ -244,17 +297,21 @@ TEST(TracerTest, RecordsInOrder) {
 }
 
 TEST(TracerTest, RingOverwritesOldestAndCountsDrops) {
+  static constexpr const char* kNames[] = {"e0", "e1", "e2", "e3", "e4",
+                                           "e5", "e6", "e7", "e8", "e9"};
   Tracer t(/*capacity=*/4);
   for (int i = 0; i < 10; ++i) {
-    t.Instant(0, "c", "e" + std::to_string(i), static_cast<uint64_t>(i));
+    t.Instant(0, "c", kNames[i], static_cast<uint64_t>(i));
   }
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t.dropped_events(), 6u);
   auto events = t.Snapshot();
   ASSERT_EQ(events.size(), 4u);
   // Oldest-first snapshot: the survivors are events 6..9.
-  EXPECT_EQ(events.front().name, "e6");
-  EXPECT_EQ(events.back().name, "e9");
+  EXPECT_EQ(std::string_view(events.front().name), "e6");
+  EXPECT_EQ(std::string_view(events.back().name), "e9");
+  EXPECT_EQ(events.front().id, 7u);
+  EXPECT_EQ(events.back().id, 10u);
 }
 
 TEST(TracerTest, EventIdsAreMonotonicFromOne) {

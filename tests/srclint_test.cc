@@ -129,7 +129,7 @@ constexpr char kInstrumentedTrapPath[] =
     "TrapOutcome Cpu::TakeTrapToEl2(const Syndrome& s, uint32_t detect_cost) "
     "{\n"
     "  Charge(detect_cost + cost_.trap_entry);\n"
-    "  obs_->metrics().Counter(\"cpu.traps_to_el2\").Add(1);\n"
+    "  traps_to_el2_.In(obs_->metrics()).Add(1);\n"
     "  obs_->tracer().Begin(index_, \"trap\", EcName(s.ec), 0);\n"
     "  Charge(cost_.trap_return);\n"
     "  obs_->tracer().End(index_, \"trap\", EcName(s.ec), 0);\n"
@@ -169,6 +169,27 @@ TEST(SrcLintTest, TrapPathWithoutCounterIsFlagged) {
       "}\n";
   std::vector<Diagnostic> d = Lint("src/cpu/cpu.cc", content);
   EXPECT_NE(Find(d, "trap-missing-counter"), nullptr);
+}
+
+TEST(SrcLintTest, CpuHeaderMustNameTheTrapCounterHandle) {
+  EXPECT_TRUE(Lint("src/cpu/cpu.h",
+                   "class Cpu {\n"
+                   "  CounterRef traps_to_el2_{\"cpu.traps_to_el2\"};\n"
+                   "};\n")
+                  .empty());
+  // Renamed metric, or the declaration commented out: both fire.
+  EXPECT_NE(Find(Lint("src/cpu/cpu.h",
+                      "class Cpu {\n"
+                      "  CounterRef traps_to_el2_{\"cpu.traps\"};\n"
+                      "};\n"),
+                 "trap-missing-counter"),
+            nullptr);
+  EXPECT_NE(Find(Lint("src/cpu/cpu.h",
+                      "class Cpu {\n"
+                      "  // CounterRef traps_to_el2_{\"cpu.traps_to_el2\"};\n"
+                      "};\n"),
+                 "trap-missing-counter"),
+            nullptr);
 }
 
 TEST(SrcLintTest, TrapPathWithoutCycleChargesIsFlagged) {
@@ -462,7 +483,8 @@ TEST(SrcLintTest, StripCommentsBlanksLineAndBlockComments) {
 }
 
 TEST(SrcLintTest, StripCommentsKeepsStringLiterals) {
-  std::string out = StripComments("Counter(\"cpu.traps_to_el2\").Add(1);\n");
+  std::string out =
+      StripComments("CounterRef traps_to_el2_{\"cpu.traps_to_el2\"};\n");
   EXPECT_NE(out.find("\"cpu.traps_to_el2\""), std::string::npos);
 }
 

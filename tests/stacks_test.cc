@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "src/workload/appbench.h"
 #include "src/workload/microbench.h"
 #include "src/workload/stacks.h"
@@ -207,6 +212,135 @@ TEST(ResolutionCacheTest, SteadyStateNestedHypercallsTakeNoMisses) {
 TEST(ResolutionCacheTest, EightBanksFitInTheMemoryOfFour) {
   // Four banks of 24-byte entries took 75,680 bytes.
   EXPECT_LE(sizeof(ResolutionCache), 75'680u);
+}
+
+// --- metric handles on the trap path -----------------------------------------
+
+uint64_t CounterValue(const Observability& obs, std::string_view name) {
+  const MetricCounter* c = obs.metrics().FindCounter(name);
+  return c != nullptr ? c->value() : 0;
+}
+
+// The CPU-side totals the cpu.* counters mirror, summed over every CPU.
+struct CpuTotals {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t traps = 0;
+};
+
+CpuTotals SumCpuTotals(Machine& machine) {
+  CpuTotals t;
+  for (int i = 0; i < machine.num_cpus(); ++i) {
+    Cpu& cpu = machine.cpu(i);
+    t.hits += cpu.resolution_cache().hits();
+    t.misses += cpu.resolution_cache().misses();
+    t.traps += cpu.trace().traps_to_el2();
+  }
+  return t;
+}
+
+// With obs on from the start, the handle-fed counters equal the counts the
+// CPUs keep themselves, and the per-class episode histograms add up to the
+// overall one.
+TEST(ObsHandleTest, CountersMatchTheCpusOnNestedHypercalls) {
+  for (bool neve : {false, true}) {
+    SCOPED_TRACE(neve ? "NestedNeve" : "NestedV83");
+    ArmStack stack(
+        neve ? StackConfig::NestedNeve(false) : StackConfig::NestedV83(false),
+        1);
+    Machine& machine = stack.machine();
+    machine.obs().set_enabled(true);
+    CpuTotals base = SumCpuTotals(machine);
+    stack.Run([](GuestEnv& env) {
+      for (int i = 0; i < 20; ++i) {
+        env.Hvc(kHvcTestCall);
+      }
+    });
+    CpuTotals now = SumCpuTotals(machine);
+    const Observability& obs = machine.obs();
+    EXPECT_GT(now.traps - base.traps, 20u);
+    EXPECT_EQ(CounterValue(obs, "cpu.resolve_cache_hits"),
+              now.hits - base.hits);
+    EXPECT_EQ(CounterValue(obs, "cpu.resolve_cache_misses"),
+              now.misses - base.misses);
+    EXPECT_EQ(CounterValue(obs, "cpu.traps_to_el2"), now.traps - base.traps);
+
+    const MetricHistogram* episodes =
+        obs.metrics().FindHistogram("cpu.trap_episode_cycles");
+    ASSERT_NE(episodes, nullptr);
+    uint64_t per_class = 0;
+    for (const auto& [name, h] : obs.metrics().histograms()) {
+      if (name.starts_with("cpu.trap_episode_cycles.")) {
+        per_class += h.count();
+      }
+    }
+    EXPECT_GT(per_class, 0u);
+    EXPECT_EQ(per_class, episodes->count());
+  }
+}
+
+// Each outermost trap episode lands in the histogram named after its class.
+TEST(ObsHandleTest, EpisodeHistogramsAreNamedByTrapClass) {
+  ArmStack stack(StackConfig::Vm(), 1);
+  stack.machine().obs().set_enabled(true);
+  stack.Run([](GuestEnv& env) {
+    for (int i = 0; i < 3; ++i) {
+      env.Hvc(kHvcTestCall);
+    }
+  });
+  std::vector<std::string> per_class;
+  for (const auto& [name, h] : stack.machine().obs().metrics().histograms()) {
+    if (name.starts_with("cpu.trap_episode_cycles.")) {
+      per_class.push_back(name + "=" + std::to_string(h.count()));
+    }
+  }
+  EXPECT_EQ(per_class,
+            std::vector<std::string>{"cpu.trap_episode_cycles.HVC64=3"});
+}
+
+// Re-wiring a CPU to another observability layer mid-run moves its
+// recording there and leaves the old registry as it was; wiring it back
+// resumes recording in the old one.
+TEST(ObsHandleTest, RewiredCpuRecordsIntoTheNewRegistry) {
+  ArmStack stack(StackConfig::NestedV83(false), 1);
+  Machine& machine = stack.machine();
+  Cpu& cpu = machine.cpu(0);
+  machine.obs().set_enabled(true);
+  Observability other;
+  other.set_enabled(true);
+
+  std::string before;
+  uint64_t traps_before = 0;
+  uint64_t hits_before = 0;
+  uint64_t traps_moved = 0;
+  uint64_t hits_moved = 0;
+  stack.Run([&](GuestEnv& env) {
+    auto hypercalls = [&] {
+      for (int i = 0; i < 5; ++i) {
+        env.Hvc(kHvcTestCall);
+      }
+    };
+    hypercalls();
+    before = machine.obs().metrics().TextReport();
+    traps_before = cpu.trace().traps_to_el2();
+    hits_before = cpu.resolution_cache().hits();
+
+    cpu.SetObservability(&other);
+    hypercalls();
+    traps_moved = cpu.trace().traps_to_el2() - traps_before;
+    hits_moved = cpu.resolution_cache().hits() - hits_before;
+    EXPECT_EQ(machine.obs().metrics().TextReport(), before);
+
+    cpu.SetObservability(&machine.obs());
+    hypercalls();
+  });
+  EXPECT_EQ(CounterValue(machine.obs(), "cpu.traps_to_el2") + traps_moved,
+            cpu.trace().traps_to_el2());
+  EXPECT_GT(traps_moved, 5u);
+  EXPECT_EQ(CounterValue(other, "cpu.traps_to_el2"), traps_moved);
+  EXPECT_EQ(CounterValue(other, "cpu.resolve_cache_hits"), hits_moved);
+  EXPECT_GT(CounterValue(other, "hyp.switches_into_guest"), 0u);
+  EXPECT_GT(CounterValue(machine.obs(), "cpu.traps_to_el2"), traps_before);
 }
 
 }  // namespace

@@ -161,10 +161,10 @@ run_smoke() {
   trap 'rm -rf "$tmp"; trap - RETURN' RETURN
   echo "==> [smoke] perf ratchet (best-of-3)"
   "$build_dir/bench/simcore_gbench" \
-    --benchmark_filter='GuestOpsBurst|StackConstruction|NestedHypercallV83($|Uncached)' \
+    --benchmark_filter='GuestOpsBurst|StackConstruction|NestedHypercallV83($|Uncached|Observed)' \
     --json="$tmp/ratchet1.json" >/dev/null
   "$build_dir/bench/simcore_gbench" \
-    --benchmark_filter='GuestOpsBurst|StackConstruction|NestedHypercallV83($|Uncached)' \
+    --benchmark_filter='GuestOpsBurst|StackConstruction|NestedHypercallV83($|Uncached|Observed)' \
     --json="$tmp/ratchet2.json" >/dev/null
   "$build_dir/tools/perf_ratchet" "$ROOT/tools/perf_ratchet.txt" \
     "$ROOT/BENCH_simcore.json" "$tmp/ratchet1.json" "$tmp/ratchet2.json"
