@@ -54,79 +54,11 @@ bool IdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
-// Shared engine of StripComments / StripCommentsAndLiterals: a small state
-// machine over the text, replacing what the caller wants hidden with spaces.
-// Newlines are always kept so line numbers survive; the delimiting quotes of
-// a literal are kept so token boundaries survive.
-std::string StripImpl(std::string_view content, bool strip_literals) {
-  std::string out(content);
-  enum class State { kCode, kLineComment, kBlockComment, kString, kChar };
-  State state = State::kCode;
-  for (size_t i = 0; i < content.size(); ++i) {
-    char c = content[i];
-    char next = i + 1 < content.size() ? content[i + 1] : '\0';
-    switch (state) {
-      case State::kCode:
-        if (c == '/' && next == '/') {
-          out[i] = out[i + 1] = ' ';
-          ++i;
-          state = State::kLineComment;
-        } else if (c == '/' && next == '*') {
-          out[i] = out[i + 1] = ' ';
-          ++i;
-          state = State::kBlockComment;
-        } else if (c == '"') {
-          state = State::kString;
-        } else if (c == '\'' && (i == 0 || !IdentChar(content[i - 1]))) {
-          // An apostrophe after an identifier char is a digit separator
-          // (1'000'000) or a literal suffix, not a character literal.
-          state = State::kChar;
-        }
-        break;
-      case State::kLineComment:
-        if (c == '\n') {
-          state = State::kCode;
-        } else {
-          out[i] = ' ';
-        }
-        break;
-      case State::kBlockComment:
-        if (c == '*' && next == '/') {
-          out[i] = out[i + 1] = ' ';
-          ++i;
-          state = State::kCode;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      case State::kString:
-      case State::kChar: {
-        char delim = state == State::kString ? '"' : '\'';
-        if (c == '\\' && i + 1 < content.size()) {
-          if (strip_literals) {
-            out[i] = out[i + 1] = ' ';
-          }
-          ++i;  // the escaped char cannot close the literal
-        } else if (c == delim) {
-          state = State::kCode;
-        } else if (strip_literals && c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-// A source file plus the preprocessed views the rules match against.
-// `uncommented` keeps string literals (for required-needle searches like
-// traps_to_el2_{"cpu.traps_to_el2"} and for .inc quoted NAMEs); `stripped`
-// blanks them too (for call-site pattern matching). Justification comments
-// and call-argument text are read from the original `f.content`.
+// A source file plus the view the rules match against: `stripped` has
+// comments and literal contents blanked. Justification comments are read
+// from the original `f.content`.
 struct LintedFile {
   const SourceFile& f;
-  std::string uncommented;
   std::string stripped;
 };
 
@@ -135,27 +67,15 @@ int LineOfOffset(std::string_view content, size_t offset) {
                  std::count(content.begin(), content.begin() + offset, '\n'));
 }
 
-bool IsCommentLine(std::string_view content, size_t offset) {
-  size_t bol = content.rfind('\n', offset);
-  bol = (bol == std::string_view::npos) ? 0 : bol + 1;
-  while (bol < offset && (content[bol] == ' ' || content[bol] == '\t')) {
-    ++bol;
-  }
-  return content.compare(bol, 2, "//") == 0;
-}
-
-// Every occurrence of `pattern` as a whole token prefix (previous char is not
-// part of an identifier), skipping comment lines.
-std::vector<size_t> FindCalls(std::string_view content,
+// Every occurrence of `pattern` in a stripped view as a whole token prefix
+// (previous char is not part of an identifier).
+std::vector<size_t> FindCalls(std::string_view stripped,
                               std::string_view pattern) {
   std::vector<size_t> out;
-  for (size_t pos = content.find(pattern); pos != std::string_view::npos;
-       pos = content.find(pattern, pos + 1)) {
-    if (pos > 0 && IdentChar(content[pos - 1])) {
-      continue;  // e.g. vregs_[ is not regs_[
-    }
-    if (!IsCommentLine(content, pos)) {
-      out.push_back(pos);
+  for (size_t pos = stripped.find(pattern); pos != std::string_view::npos;
+       pos = stripped.find(pattern, pos + 1)) {
+    if (pos == 0 || !IdentChar(stripped[pos - 1])) {
+      out.push_back(pos);  // e.g. vregs_[ is not regs_[
     }
   }
   return out;
@@ -183,192 +103,6 @@ void LintRawRegisterAccess(const LintedFile& lf, std::vector<Diagnostic>& d) {
                        "... bypasses access resolution; use the Cpu "
                        "SysRegRead/SysRegWrite accessors or whitelist this "
                        "file in srclint.cc"});
-    }
-  }
-}
-
-// --- rule: .inc table hygiene ------------------------------------------------
-
-struct IncRow {
-  int line = 0;
-  std::string id;                     // first macro argument
-  std::string name;                   // quoted NAME argument
-  std::vector<std::string> args;      // all arguments, trimmed
-};
-
-std::string Trim(std::string s) {
-  size_t b = s.find_first_not_of(" \t");
-  size_t e = s.find_last_not_of(" \t");
-  return (b == std::string::npos) ? std::string() : s.substr(b, e - b + 1);
-}
-
-std::vector<IncRow> ParseIncRows(std::string_view content,
-                                 std::string_view macro) {
-  std::vector<IncRow> rows;
-  std::string open = std::string(macro) + "(";
-  for (size_t pos : FindCalls(content, open)) {
-    size_t args_begin = pos + open.size();
-    size_t close = content.find(')', args_begin);
-    if (close == std::string_view::npos) {
-      continue;
-    }
-    IncRow row;
-    row.line = LineOfOffset(content, pos);
-    std::string args(content.substr(args_begin, close - args_begin));
-    std::istringstream iss(args);
-    std::string field;
-    while (std::getline(iss, field, ',')) {
-      row.args.push_back(Trim(field));
-    }
-    if (row.args.size() < 2) {
-      continue;
-    }
-    row.id = row.args[0];
-    std::string& quoted = row.args[1];
-    if (quoted.size() >= 2 && quoted.front() == '"' && quoted.back() == '"') {
-      row.name = quoted.substr(1, quoted.size() - 2);
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-int EncKindRank(const std::string& kind_arg) {
-  if (kind_arg.find("kDirect") != std::string::npos) {
-    return 0;
-  }
-  if (kind_arg.find("kEl12") != std::string::npos) {
-    return 1;
-  }
-  if (kind_arg.find("kEl02") != std::string::npos) {
-    return 2;
-  }
-  return -1;
-}
-
-// ICH_LR<n> suffix of a row name, or -1.
-int IchLrIndex(const std::string& name) {
-  constexpr std::string_view prefix = "ICH_LR";
-  if (name.rfind(prefix, 0) != 0) {
-    return -1;
-  }
-  size_t i = prefix.size();
-  int n = 0;
-  bool any = false;
-  while (i < name.size() &&
-         std::isdigit(static_cast<unsigned char>(name[i])) != 0) {
-    n = n * 10 + (name[i] - '0');
-    any = true;
-    ++i;
-  }
-  return (any && name.compare(i, std::string::npos, "_EL2") == 0) ? n : -1;
-}
-
-void LintIncRows(const LintedFile& lf, std::string_view macro,
-                 std::vector<Diagnostic>& d) {
-  // Parsed from the uncommented view: quoted NAME arguments must stay
-  // intact, but commented-out rows must not parse.
-  const SourceFile& f = lf.f;
-  std::vector<IncRow> rows = ParseIncRows(lf.uncommented, macro);
-  std::map<std::string, int> ids;
-  int prev_kind = 0;
-  int prev_lr = -1;
-  for (const IncRow& row : rows) {
-    if (row.id != "k" + row.name) {
-      d.push_back({f.path, row.line, "inc-identifier-name",
-                   row.id + ": identifier must be 'k' + NAME (k" + row.name +
-                       ")"});
-    }
-    auto [it, inserted] = ids.emplace(row.id, row.line);
-    if (!inserted) {
-      d.push_back({f.path, row.line, "inc-duplicate-id",
-                   row.id + " already defined at line " +
-                       std::to_string(it->second)});
-    }
-    if (macro == "NEVE_SYSREG" && row.args.size() >= 5) {
-      int kind = EncKindRank(row.args[4]);
-      if (kind >= 0) {
-        if (kind < prev_kind) {
-          d.push_back({f.path, row.line, "inc-kind-order",
-                       row.id + ": encoding kinds must be grouped kDirect, "
-                                "then kEl12, then kEl02"});
-        }
-        prev_kind = std::max(prev_kind, kind);
-      }
-    }
-    int lr = IchLrIndex(row.name);
-    if (lr >= 0) {
-      if (prev_lr >= 0 && lr != prev_lr + 1) {
-        d.push_back({f.path, row.line, "ich-lr-order",
-                     row.name + ": ICH_LR rows must be consecutive and "
-                                "ascending (previous was ICH_LR" +
-                         std::to_string(prev_lr) + "_EL2)"});
-      }
-      prev_lr = lr;
-    }
-  }
-}
-
-// --- rule: trap-path instrumentation -----------------------------------------
-
-void LintTrapInstrumentation(const LintedFile& lf,
-                             std::vector<Diagnostic>& d) {
-  const SourceFile& f = lf.f;
-  // The trap counter is a metric handle: cpu.h names it, cpu.cc bumps it.
-  // The needles hold the metric name, so search the uncommented view
-  // (literals intact, but a commented-out line does not satisfy).
-  if (PathMatches(f.path, "src/cpu/cpu.h")) {
-    if (lf.uncommented.find("traps_to_el2_{\"cpu.traps_to_el2\"}") ==
-        std::string::npos) {
-      d.push_back({f.path, 0, "trap-missing-counter",
-                   "Cpu declares no traps_to_el2_ handle on the "
-                   "cpu.traps_to_el2 counter"});
-    }
-    return;
-  }
-  if (!PathMatches(f.path, "src/cpu/cpu.cc")) {
-    return;
-  }
-  for (size_t pos : FindCalls(lf.stripped, "TakeTrapToEl2(")) {
-    // The argument list may span lines; scan to the matching close paren on
-    // the stripped view (parens inside literals cannot confuse the match),
-    // then read the argument text from the ORIGINAL: the detect charge may
-    // be an explicit /*detect_cost=*/ comment.
-    size_t open = lf.stripped.find('(', pos);
-    int depth = 0;
-    size_t end = open;
-    for (; end < lf.stripped.size(); ++end) {
-      if (lf.stripped[end] == '(') {
-        ++depth;
-      } else if (lf.stripped[end] == ')' && --depth == 0) {
-        break;
-      }
-    }
-    std::string call = f.content.substr(open, end - open);
-    if (call.find("detect") == std::string::npos) {
-      d.push_back({f.path, LineOfOffset(f.content, pos),
-                   "trap-missing-detect",
-                   "TakeTrapToEl2 call does not charge a detect cost "
-                   "(pass cost_.detect_* or an explicit /*detect_cost=*/)"});
-    }
-  }
-  struct Required {
-    const char* needle;
-    const char* check;
-    const char* message;
-  };
-  static constexpr Required kRequired[] = {
-      {"cost_.trap_entry", "trap-missing-entry-charge",
-       "trap path never charges cost_.trap_entry"},
-      {"cost_.trap_return", "trap-missing-return-charge",
-       "trap path never charges cost_.trap_return"},
-      {"traps_to_el2_.In(", "trap-missing-counter",
-       "trap path never bumps the cpu.traps_to_el2 counter (traps_to_el2_)"},
-  };
-  for (const Required& req : kRequired) {
-    // A commented-out charge or bump does not satisfy.
-    if (lf.uncommented.find(req.needle) == std::string::npos) {
-      d.push_back({f.path, 0, req.check, req.message});
     }
   }
 }
@@ -435,110 +169,6 @@ void LintGuestReachableAborts(const LintedFile& lf,
   }
 }
 
-// --- rule: attribution category annotation -----------------------------------
-
-// Files defining the attribution primitives themselves.
-constexpr const char* kAttrWhitelist[] = {
-    "src/obs/attr.h",
-    "src/obs/attr.cc",
-    "src/cpu/cpu.h",
-};
-
-// The parenthesized argument text of the call starting at `pos`, or "" when
-// no '(' opens before the statement ends (a declaration, not a call).
-// Boundaries come from the stripped view (parens and semicolons inside
-// literals cannot confuse the scan); the text returned is the ORIGINAL,
-// comments included, so /*category=*/-style markers survive.
-std::string CallArgText(std::string_view stripped, std::string_view original,
-                        size_t pos) {
-  size_t open = stripped.find('(', pos);
-  size_t semi = stripped.find(';', pos);
-  if (open == std::string_view::npos ||
-      (semi != std::string_view::npos && semi < open)) {
-    return "";
-  }
-  int depth = 0;
-  size_t end = open;
-  for (; end < stripped.size(); ++end) {
-    if (stripped[end] == '(') {
-      ++depth;
-    } else if (stripped[end] == ')' && --depth == 0) {
-      break;
-    }
-  }
-  return std::string(original.substr(open, end - open));
-}
-
-// The arguments name a category: a literal AttrCat:: enumerator or an
-// expression that computes one (emul_cat, TrapCatForEc(...)).
-bool MentionsAttrCategory(const std::string& args) {
-  if (args.find("AttrCat::") != std::string::npos) {
-    return true;
-  }
-  std::string lower = args;
-  std::transform(lower.begin(), lower.end(), lower.begin(), [](char c) {
-    return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  });
-  return lower.find("cat") != std::string::npos;
-}
-
-// Every cycle-charging attribution site must say *which* category it charges:
-// an uncategorized charge silently lands cycles in whatever frame happens to
-// be on top, which corrupts the per-category breakdown without tripping the
-// conservation invariant. src/cpu/cpu.cc must additionally keep its two
-// non-scope charge sites (AdvanceTo's idle rendezvous and the VNCR redirect)
-// on their dedicated categories.
-void LintAttrCategories(const LintedFile& lf, std::vector<Diagnostic>& d) {
-  const SourceFile& f = lf.f;
-  if (Whitelisted(f.path, kAttrWhitelist)) {
-    return;
-  }
-  static constexpr const char* kChargePatterns[] = {"ChargeAttributed(",
-                                                    "ChargeTo("};
-  for (const char* pattern : kChargePatterns) {
-    for (size_t pos : FindCalls(lf.stripped, pattern)) {
-      if (!MentionsAttrCategory(CallArgText(lf.stripped, f.content, pos))) {
-        d.push_back({f.path, LineOfOffset(f.content, pos),
-                     "attr-missing-category",
-                     std::string(pattern) +
-                         "...) charges cycles without an attribution "
-                         "category; pass an AttrCat:: enumerator (or an "
-                         "expression computing one)"});
-      }
-    }
-  }
-  for (size_t pos : FindCalls(lf.stripped, "AttrScope")) {
-    std::string args = CallArgText(lf.stripped, f.content, pos);
-    if (args.empty()) {
-      continue;  // a mention, not a construction
-    }
-    if (!MentionsAttrCategory(args)) {
-      d.push_back({f.path, LineOfOffset(f.content, pos),
-                   "attr-missing-category",
-                   "AttrScope constructed without an attribution category; "
-                   "every frame must name the AttrCat it charges"});
-    }
-  }
-  if (PathMatches(f.path, "src/cpu/cpu.cc")) {
-    struct Required {
-      const char* needle;
-      const char* check;
-      const char* message;
-    };
-    static constexpr Required kRequired[] = {
-        {"AttrCat::kIdleWait", "attr-missing-idle-category",
-         "AdvanceTo's rendezvous charge must stay on AttrCat::kIdleWait"},
-        {"AttrCat::kVncrRedirect", "attr-missing-vncr-category",
-         "the VNCR redirect charge must stay on AttrCat::kVncrRedirect"},
-    };
-    for (const Required& req : kRequired) {
-      if (lf.uncommented.find(req.needle) == std::string::npos) {
-        d.push_back({f.path, 0, req.check, req.message});
-      }
-    }
-  }
-}
-
 // --- rule: batch-bypass ------------------------------------------------------
 
 // The batch engine's contract is ONE aggregated charge (and one counter
@@ -599,19 +229,6 @@ void LintFuzzUnseededRandomness(const LintedFile& lf,
                        "randomness from the seeded neve::Rng so campaigns "
                        "replay byte-identically"});
     }
-  }
-}
-
-// --- rule: obs span balance --------------------------------------------------
-
-void LintSpanBalance(const LintedFile& lf, std::vector<Diagnostic>& d) {
-  size_t begins = FindCalls(lf.stripped, "tracer().Begin(").size();
-  size_t ends = FindCalls(lf.stripped, "tracer().End(").size();
-  if (begins != ends) {
-    d.push_back({lf.f.path, 0, "span-balance",
-                 "tracer().Begin/End mismatch: " + std::to_string(begins) +
-                     " Begin vs " + std::to_string(ends) +
-                     " End -- a span leaks or double-closes"});
   }
 }
 
@@ -898,12 +515,66 @@ void LintLockset(const std::vector<SourceFile>& files,
 
 }  // namespace
 
-std::string StripComments(std::string_view content) {
-  return StripImpl(content, /*strip_literals=*/false);
-}
-
+// A small state machine over the text, replacing comments and literal
+// contents with spaces. Newlines are always kept so line numbers survive;
+// the delimiting quotes of a literal are kept so token boundaries survive.
 std::string StripCommentsAndLiterals(std::string_view content) {
-  return StripImpl(content, /*strip_literals=*/true);
+  std::string out(content);
+  enum class State { kCode, kLineComment, kBlockComment, kString, kChar };
+  State state = State::kCode;
+  for (size_t i = 0; i < content.size(); ++i) {
+    char c = content[i];
+    char next = i + 1 < content.size() ? content[i + 1] : '\0';
+    switch (state) {
+      case State::kCode:
+        if (c == '/' && next == '/') {
+          out[i] = out[i + 1] = ' ';
+          ++i;
+          state = State::kLineComment;
+        } else if (c == '/' && next == '*') {
+          out[i] = out[i + 1] = ' ';
+          ++i;
+          state = State::kBlockComment;
+        } else if (c == '"') {
+          state = State::kString;
+        } else if (c == '\'' && (i == 0 || !IdentChar(content[i - 1]))) {
+          // An apostrophe after an identifier char is a digit separator
+          // (1'000'000) or a literal suffix, not a character literal.
+          state = State::kChar;
+        }
+        break;
+      case State::kLineComment:
+        if (c == '\n') {
+          state = State::kCode;
+        } else {
+          out[i] = ' ';
+        }
+        break;
+      case State::kBlockComment:
+        if (c == '*' && next == '/') {
+          out[i] = out[i + 1] = ' ';
+          ++i;
+          state = State::kCode;
+        } else if (c != '\n') {
+          out[i] = ' ';
+        }
+        break;
+      case State::kString:
+      case State::kChar: {
+        char delim = state == State::kString ? '"' : '\'';
+        if (c == '\\' && i + 1 < content.size()) {
+          out[i] = out[i + 1] = ' ';
+          ++i;  // the escaped char cannot close the literal
+        } else if (c == delim) {
+          state = State::kCode;
+        } else if (c != '\n') {
+          out[i] = ' ';
+        }
+        break;
+      }
+    }
+  }
+  return out;
 }
 
 std::vector<LocksetMember> LocksetInventory(
@@ -983,20 +654,11 @@ std::vector<LocksetMember> LocksetInventory(
 std::vector<Diagnostic> LintSources(const std::vector<SourceFile>& files) {
   std::vector<Diagnostic> d;
   for (const SourceFile& f : files) {
-    LintedFile lf{f, StripComments(f.content),
-                  StripCommentsAndLiterals(f.content)};
-    if (HasSuffix(f.path, ".inc")) {
-      LintIncRows(lf, "NEVE_REGID", d);
-      LintIncRows(lf, "NEVE_SYSREG", d);
-      continue;
-    }
+    LintedFile lf{f, StripCommentsAndLiterals(f.content)};
     LintRawRegisterAccess(lf, d);
-    LintTrapInstrumentation(lf, d);
     LintGuestReachableAborts(lf, d);
-    LintAttrCategories(lf, d);
     LintBatchBypass(lf, d);
     LintFuzzUnseededRandomness(lf, d);
-    LintSpanBalance(lf, d);
   }
   LintLockset(files, d);
   LintSnapshotCoverage(files, d);
@@ -1017,7 +679,7 @@ std::vector<SourceFile> LoadRepoSources(const std::string& repo_root) {
       continue;
     }
     std::string ext = it->path().extension().string();
-    if (ext != ".h" && ext != ".cc" && ext != ".inc") {
+    if (ext != ".h" && ext != ".cc") {
       continue;
     }
     std::ifstream in(it->path(), std::ios::binary);

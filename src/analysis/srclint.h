@@ -1,31 +1,16 @@
-// Source lint: repo-convention checks that the compiler cannot enforce.
+// Source lint: repo-convention checks that no type can express.
 //
 // Rules:
 //   raw-register-access   direct register-file pokes (regs_[...], PeekReg,
 //                         PokeReg) outside the whitelisted CPU/hypervisor/
 //                         device files; everything else must go through the
 //                         resolving SysRegRead/SysRegWrite accessors
-//   inc-*                 .inc table hygiene: identifier is 'k' + NAME, no
-//                         duplicate identifiers, encoding kinds appear in
-//                         canonical kDirect < kEl12 < kEl02 group order,
-//                         ICH_LR<n> rows consecutive and ascending
-//   trap-*                every TakeTrapToEl2 call site charges a detect
-//                         cost, and the trap path charges trap_entry /
-//                         trap_return and bumps the cpu.traps_to_el2 counter
-//                         (src/cpu/cpu.h declares the traps_to_el2_ handle
-//                         under that name; cpu.cc bumps it)
 //   guest-reachable-abort NEVE_CHECK / NEVE_CHECK_MSG / abort() in the
 //                         guest-drivable layers (src/hyp, src/gic, src/x86)
 //                         without a `// host-invariant:` justification on
 //                         the same line or the two lines above; such checks
 //                         must be confined (NEVE_GUEST_CHECK or
 //                         RaiseGuestFault) so a guest bug kills only its VM
-//   attr-*                cycle-charging attribution sites (ChargeAttributed,
-//                         ChargeTo, AttrScope constructions) must name the
-//                         AttrCat they charge — a literal enumerator or an
-//                         expression computing one; src/cpu/cpu.cc must keep
-//                         the idle rendezvous and the VNCR redirect on their
-//                         dedicated categories
 //   batch-bypass          charging/metric calls (Charge, ChargeAttributed,
 //                         ChargeTo, Counter, Instant) under src/sim/batch
 //                         without a contract marker; the batch engine's
@@ -40,8 +25,6 @@
 //                         the fuzzer's byte-identical-replay contract
 //                         requires every random bit to come from the seeded
 //                         neve::Rng
-//   span-balance          tracer().Begin( and tracer().End( counts match per
-//                         file, so obs spans cannot leak
 //   lockset-multi-tu-mutation
 //                         the shared-mutation audit (DESIGN.md 6i): a
 //                         `member_`-style field declared in src/cpu, src/hyp,
@@ -61,14 +44,16 @@
 //                         members are exempt (host-side synchronization).
 //                         Silent when the source set has no src/snap files.
 //
+// What a type can hold is left to the compiler (DESIGN.md 6d): .inc row
+// form, trap detect costs, attribution categories, balanced trace spans.
+//
 // False-positive hardening: every pattern rule matches against a
-// preprocessed view of the file with comments (and, where the rule wants it,
-// string/char-literal contents) blanked out -- a `regs_[` inside a comment
-// or a "PeekReg(" inside a string literal is not a finding. The views are
-// length- and newline-preserving, so offsets and line numbers computed on a
-// view hold on the original text. Justification comments
-// (`// host-invariant:`, `// single-mutator:`) and call-argument text (which
-// may carry /*detect_cost=*/ markers) are read from the ORIGINAL text.
+// preprocessed view of the file with comments and string/char-literal
+// contents blanked out -- a `regs_[` inside a comment or a "PeekReg(" inside
+// a string literal is not a finding. The view is length- and
+// newline-preserving, so offsets and line numbers computed on it hold on the
+// original text. Justification comments (`// host-invariant:`,
+// `// single-mutator:`) are read from the ORIGINAL text.
 //
 // The linter operates on (path, content) pairs so tests can feed it seeded
 // bad sources; LoadRepoSources gathers the real tree for the CLI.
@@ -89,14 +74,11 @@ struct SourceFile {
   std::string content;
 };
 
-// Comment text (// and /* */) replaced by spaces. Length- and
-// newline-preserving: offsets and line numbers computed on the result hold
-// on the input. String and character literals are left intact.
-std::string StripComments(std::string_view content);
-
-// StripComments plus the *contents* of string and character literals blanked
-// (the delimiting quotes stay, so tokenization boundaries survive). Raw
-// string literals are not understood; the repo style avoids them.
+// Comment text (// and /* */) and the *contents* of string and character
+// literals replaced by spaces (the delimiting quotes stay, so tokenization
+// boundaries survive). Length- and newline-preserving: offsets and line
+// numbers computed on the result hold on the input. Raw string literals are
+// not understood; the repo style avoids them.
 std::string StripCommentsAndLiterals(std::string_view content);
 
 // One mutation site of a lockset-audited member outside its home TU.
@@ -129,8 +111,8 @@ std::vector<LocksetMember> LocksetInventory(
 
 std::vector<Diagnostic> LintSources(const std::vector<SourceFile>& files);
 
-// Reads every .h/.cc/.inc under <repo_root>/src, paths repo-relative,
-// sorted. Missing root yields an empty list.
+// Reads every .h/.cc under <repo_root>/src, paths repo-relative, sorted.
+// Missing root yields an empty list.
 std::vector<SourceFile> LoadRepoSources(const std::string& repo_root);
 
 }  // namespace neve::analysis

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstddef>
+#include <string_view>
 
 #include "src/arch/el.h"
 #include "src/arch/sysreg.h"
@@ -42,6 +43,32 @@ constexpr std::array<CtEnc, kNumSysRegs> kCtEncs = {{
 #include "src/arch/sysreg_defs.inc"
 #undef NEVE_SYSREG
 }};
+
+// Every row's identifier is 'k' + its quoted NAME, so the enumerator and
+// RegIdName/SysRegName spell the same register. A repeated identifier needs
+// no check here: it redeclares an enumerator in sysreg.h.
+#define NEVE_REGID(id, name, owner, klass, redirect) \
+  static_assert(std::string_view(#id) == "k" name, #id " is not k + NAME");
+#include "src/arch/regid_defs.inc"
+#undef NEVE_REGID
+#define NEVE_SYSREG(id, name, storage, min_el, kind, rw) \
+  static_assert(std::string_view(#id) == "k" name, #id " is not k + NAME");
+#include "src/arch/sysreg_defs.inc"
+#undef NEVE_SYSREG
+
+// Encoding kinds appear grouped: every kDirect row, then the kEl12 aliases,
+// then the kEl02 ones (the EncKind declaration order).
+constexpr bool EncodingKindsAreGrouped() {
+  for (size_t i = 1; i < kCtEncs.size(); ++i) {
+    if (kCtEncs[i].kind < kCtEncs[i - 1].kind) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(EncodingKindsAreGrouped(),
+              "sysreg_defs.inc encoding kinds must be grouped kDirect, then "
+              "kEl12, then kEl02");
 
 constexpr bool IsRedirectClass(NeveClass k) {
   return k == NeveClass::kRedirect || k == NeveClass::kRedirectVhe ||

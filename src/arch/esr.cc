@@ -6,32 +6,6 @@
 
 namespace neve {
 
-const char* EcName(Ec ec) {
-  switch (ec) {
-    case Ec::kUnknown:
-      return "UNKNOWN";
-    case Ec::kWfx:
-      return "WFX";
-    case Ec::kHvc64:
-      return "HVC64";
-    case Ec::kSmc64:
-      return "SMC64";
-    case Ec::kSysReg:
-      return "SYSREG";
-    case Ec::kTlbi:
-      return "TLBI";
-    case Ec::kEretTrap:
-      return "ERET";
-    case Ec::kInstAbortLow:
-      return "IABT_LOW";
-    case Ec::kDataAbortLow:
-      return "DABT_LOW";
-    case Ec::kIrq:
-      return "IRQ";
-  }
-  return "EC?";
-}
-
 uint64_t Syndrome::ToEsrBits() const {
   uint64_t esr = 0;
   esr = InsertBits(esr, 31, 26, static_cast<uint64_t>(ec));

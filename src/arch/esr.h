@@ -32,7 +32,32 @@ enum class Ec : uint8_t {
   kIrq = 0x80,         // not an ESR EC; marker for asynchronous interrupts
 };
 
-const char* EcName(Ec ec);
+// Inline: every trap names its trace span with it, observed or not.
+constexpr const char* EcName(Ec ec) {
+  switch (ec) {
+    case Ec::kUnknown:
+      return "UNKNOWN";
+    case Ec::kWfx:
+      return "WFX";
+    case Ec::kHvc64:
+      return "HVC64";
+    case Ec::kSmc64:
+      return "SMC64";
+    case Ec::kSysReg:
+      return "SYSREG";
+    case Ec::kTlbi:
+      return "TLBI";
+    case Ec::kEretTrap:
+      return "ERET";
+    case Ec::kInstAbortLow:
+      return "IABT_LOW";
+    case Ec::kDataAbortLow:
+      return "DABT_LOW";
+    case Ec::kIrq:
+      return "IRQ";
+  }
+  return "EC?";
+}
 
 // Decoded syndrome for an exception taken to EL2 (or emulated into a virtual
 // EL2 by the host hypervisor).

@@ -192,7 +192,7 @@ uint64_t Cpu::ArchStateDigest() const {
   return d.value();
 }
 
-TrapOutcome Cpu::TakeTrapToEl2(const Syndrome& s, uint32_t detect_cost) {
+TrapOutcome Cpu::TakeTrapToEl2(const Syndrome& s) {
   NEVE_CHECK_MSG(el_ != El::kEl2, "host hypervisor code cannot trap to EL2");
   NEVE_CHECK_MSG(host_ != nullptr, "no EL2 host installed");
   NEVE_CHECK_MSG(trap_depth_ < 64, "runaway trap recursion (modeling bug)");
@@ -215,19 +215,16 @@ TrapOutcome Cpu::TakeTrapToEl2(const Syndrome& s, uint32_t detect_cost) {
   // GuestFaultException unwinding out of the host handler.
   AttrScope attr_scope(*this, AttrLayer::kL0, TrapCatForEc(s.ec));
 
-  uint64_t episode_start = cycles_;
-  Charge(detect_cost + cost_.trap_entry);
-  trace_.OnTrapToEl2(s, cycles_);
-
-  // Snapshot observability state at entry so the begin/end pair stays
-  // balanced even if tracing is toggled while the handler runs. The begin
+  // The episode's span opens before the entry charge and closes after the
+  // return charge, or when a guest fault unwinds the handler. Its begin
   // event's ID doubles as the episode's exemplar link.
-  bool observing = ObsActive(obs_);
-  uint64_t trace_id = 0;
+  uint64_t episode_start = cycles_;
+  ScopedSpan span(obs_, *this, "trap", EcName(s.ec));
+  Charge(cost_.DetectFor(s.ec) + cost_.trap_entry);
+  trace_.OnTrapToEl2(s, cycles_);
+  bool observing = span.id() != 0;
   if (observing) {
     traps_to_el2_.In(obs_->metrics()).Add(1);
-    trace_id = obs_->tracer().Begin(index_, "trap", EcName(s.ec),
-                                    episode_start);
   }
 
   // Hardware exception-entry side effects: syndrome and return state land in
@@ -266,14 +263,11 @@ TrapOutcome Cpu::TakeTrapToEl2(const Syndrome& s, uint32_t detect_cost) {
       // straight back to its trace span.
       uint64_t episode = cycles_ - episode_start;
       trap_episode_cycles_.In(obs_->metrics())
-          .RecordWithExemplar(episode, trace_id);
+          .RecordWithExemplar(episode, span.id());
       trap_episode_cycles_by_ec_[EpisodeSlot(s.ec)]
           .In(obs_->metrics())
-          .RecordWithExemplar(episode, trace_id);
+          .RecordWithExemplar(episode, span.id());
     }
-  }
-  if (observing) {
-    obs_->tracer().End(index_, "trap", EcName(s.ec), cycles_);
   }
   return outcome;
 }
@@ -334,8 +328,8 @@ AccessResolution Cpu::ResolveCached(SysReg enc, bool is_write) {
       return value;
     }
     case AccessResolution::Kind::kTrapEl2: {
-      TrapOutcome out = TakeTrapToEl2(
-          Syndrome::SysRegTrap(enc, /*is_write=*/false, 0), cost_.detect_sysreg);
+      TrapOutcome out =
+          TakeTrapToEl2(Syndrome::SysRegTrap(enc, /*is_write=*/false, 0));
       NEVE_CHECK(out.kind == TrapOutcome::Kind::kCompleted);
       return out.value;
     }
@@ -384,9 +378,8 @@ AccessResolution Cpu::ResolveCached(SysReg enc, bool is_write) {
       mem_->Write64(VncrPage() + r.mem_offset, value);
       return;
     case AccessResolution::Kind::kTrapEl2: {
-      TrapOutcome out = TakeTrapToEl2(
-          Syndrome::SysRegTrap(enc, /*is_write=*/true, value),
-          cost_.detect_sysreg);
+      TrapOutcome out =
+          TakeTrapToEl2(Syndrome::SysRegTrap(enc, /*is_write=*/true, value));
       NEVE_CHECK(out.kind == TrapOutcome::Kind::kCompleted);
       return;
     }
@@ -538,7 +531,7 @@ El Cpu::ReadCurrentEl() {
 
 void Cpu::Hvc(uint16_t imm) {
   NEVE_CHECK_MSG(el_ != El::kEl2, "hvc at EL2 is not modeled (no EL3)");
-  TrapOutcome out = TakeTrapToEl2(Syndrome::Hvc(imm), cost_.detect_hvc);
+  TrapOutcome out = TakeTrapToEl2(Syndrome::Hvc(imm));
   NEVE_CHECK(out.kind == TrapOutcome::Kind::kCompleted);
 }
 
@@ -551,7 +544,7 @@ void Cpu::EretFromVirtualEl2() {
   }
   switch (ResolveEret(CurrentAccessContext())) {
     case EretResolution::kTrapEl2: {
-      TrapOutcome out = TakeTrapToEl2(Syndrome::EretTrap(), cost_.detect_eret);
+      TrapOutcome out = TakeTrapToEl2(Syndrome::EretTrap());
       NEVE_CHECK(out.kind == TrapOutcome::Kind::kCompleted);
       return;
     }
@@ -568,13 +561,13 @@ void Cpu::EretFromVirtualEl2() {
 void Cpu::TakeIrq(uint32_t intid) {
   NEVE_CHECK_MSG(el_ != El::kEl2, "IRQ-exit injection targets guest context");
   NEVE_CHECK_MSG(hcr().imo(), "IRQ while IMO clear is not modeled");
-  TrapOutcome out = TakeTrapToEl2(Syndrome::Irq(intid), /*detect_cost=*/0);
+  TrapOutcome out = TakeTrapToEl2(Syndrome::Irq(intid));
   NEVE_CHECK(out.kind == TrapOutcome::Kind::kCompleted);
 }
 
 void Cpu::Wfi() {
   if (el_ != El::kEl2 && hcr().twi()) {
-    TrapOutcome out = TakeTrapToEl2(Syndrome::Wfx(), cost_.detect_wfx);
+    TrapOutcome out = TakeTrapToEl2(Syndrome::Wfx());
     NEVE_CHECK(out.kind == TrapOutcome::Kind::kCompleted);
     return;
   }
@@ -589,7 +582,7 @@ void Cpu::TlbiAll() {
     // must observe the invalidation to flush stale shadow entries (and
     // broadcast to sibling vCPUs under SMP) before the local invalidate
     // completes.
-    TrapOutcome out = TakeTrapToEl2(Syndrome::Tlbi(), cost_.detect_hvc);
+    TrapOutcome out = TakeTrapToEl2(Syndrome::Tlbi());
     NEVE_CHECK(out.kind == TrapOutcome::Kind::kCompleted);
   }
   Charge(cost_.barrier);
@@ -666,7 +659,7 @@ uint64_t Cpu::LoadVa(Va va) {
       WatchdogCheckGuestSpin();
       return mem_->Read64(pa);
     }
-    TrapOutcome out = TakeTrapToEl2(fault, cost_.detect_mem_abort);
+    TrapOutcome out = TakeTrapToEl2(fault);
     if (out.kind == TrapOutcome::Kind::kCompleted) {
       return out.value;  // MMIO read emulated by the hypervisor
     }
@@ -684,7 +677,7 @@ void Cpu::StoreVa(Va va, uint64_t value) {
       return;
     }
     fault.write_value = value;
-    TrapOutcome out = TakeTrapToEl2(fault, cost_.detect_mem_abort);
+    TrapOutcome out = TakeTrapToEl2(fault);
     if (out.kind == TrapOutcome::Kind::kCompleted) {
       return;  // MMIO write emulated
     }

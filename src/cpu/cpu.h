@@ -402,8 +402,10 @@ class Cpu {
     }
   }
 
-  // Exception entry to EL2 + host dispatch + return. Returns the outcome.
-  TrapOutcome TakeTrapToEl2(const Syndrome& s, uint32_t detect_cost);
+  // Exception entry to EL2 + host dispatch + return. Charges the entry with
+  // the class's detect delta (CostModel::DetectFor) and the return, and
+  // returns the outcome.
+  TrapOutcome TakeTrapToEl2(const Syndrome& s);
 
   // Episode histograms per trap class: one slot per Ec enumerator plus one
   // for any other value (which EcName calls "EC?").

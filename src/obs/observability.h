@@ -17,9 +17,9 @@
 // branch -- the zero-cost-when-disabled contract bench/simcore_gbench
 // guards -- and an enabled one a compare and a store per record, with no
 // lock and no allocation. Cold sites may look metrics up by name instead
-// (metrics().Counter("fault.vm_kills")). Spans use the ScopedSpan RAII
-// helper below, which captures the enable decision at construction so a
-// span begun while enabled always closes.
+// (metrics().Counter("fault.vm_kills")). Spans go only through the
+// ScopedSpan RAII helper below, which captures the enable decision at
+// construction so a span begun while enabled always closes.
 
 #ifndef NEVE_SRC_OBS_OBSERVABILITY_H_
 #define NEVE_SRC_OBS_OBSERVABILITY_H_
@@ -77,14 +77,17 @@ inline bool ObsActive(const Observability* obs) {
 }
 
 // RAII begin/end span on the clock of `Clocked` (anything exposing cycles()
-// and index(), i.e. a Cpu). Templated so the tracer stays independent of the
-// CPU model while call sites read naturally:
+// and index(), i.e. a Cpu); the only way to record a span, since
+// Tracer::Begin/End are private to it. Templated so the tracer stays
+// independent of the CPU model while call sites read naturally:
 //
 //     ScopedSpan span(cpu.obs(), cpu, "world_switch", "save_el1");
 //
-// `name` must be a static string, as for every tracer event: a disabled span
-// costs two pointer tests and an enabled one two events written into the
-// ring -- world-switch phases run 100+ times per nested trap.
+// The end event is written also when a confined guest fault unwinds the
+// scope. `name` must be a static string, as for every tracer event: a
+// disabled span costs two pointer tests and an enabled one two events
+// written into the ring -- world-switch phases run 100+ times per nested
+// trap.
 template <typename Clocked>
 class ScopedSpan {
  public:
@@ -95,7 +98,8 @@ class ScopedSpan {
         category_(category),
         name_(name) {
     if (obs_ != nullptr) {
-      obs_->tracer().Begin(clock_.index(), category_, name_, clock_.cycles());
+      id_ = obs_->tracer().Begin(clock_.index(), category_, name_,
+                                 clock_.cycles());
     }
   }
 
@@ -108,11 +112,16 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
+  // The begin event's ID (a histogram exemplar links to it), or 0 when the
+  // span does not record.
+  uint64_t id() const { return id_; }
+
  private:
   Observability* obs_;
   Clocked& clock_;
   const char* category_;
   const char* name_;
+  uint64_t id_ = 0;
 };
 
 template <typename Clocked>

@@ -9,6 +9,8 @@
 // numbers verbatim, so read "us" as "cycles". Load the file via
 // chrome://tracing -> Load, or https://ui.perfetto.dev.
 //
+// Spans are recorded only through ScopedSpan (observability.h), so every
+// begin event gets its end event, also when a guest fault unwinds the span.
 // The ring overwrites the oldest events when full (a long run keeps the tail
 // of the episode, which is usually the part being inspected);
 // `dropped_events()` says how many were lost. chrome://tracing tolerates the
@@ -58,6 +60,8 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>,
               "recording a trace event is a plain store into the ring");
 
 class MetricCounter;
+template <typename Clocked>
+class ScopedSpan;
 
 class Tracer {
  public:
@@ -65,14 +69,8 @@ class Tracer {
 
   explicit Tracer(size_t capacity = kDefaultCapacity);
 
-  // Names and categories must be static strings. Begin/Instant return the
-  // recorded event's ID (for exemplar links). Out of line on purpose: each
-  // writes its fields straight into the ring slot, and inlined into every
-  // span site the writes cost the unobserved trap path 7-14% of
-  // paper_tables throughput (RelWithDebInfo, 4-vCPU Xeon VM).
-  uint64_t Begin(int cpu, const char* category, const char* name,
-                 uint64_t ts);
-  void End(int cpu, const char* category, const char* name, uint64_t ts);
+  // Names and categories must be static strings. Returns the recorded
+  // event's ID (for exemplar links).
   uint64_t Instant(int cpu, const char* category, const char* name,
                    uint64_t ts, const char* arg_name = nullptr,
                    uint64_t arg = 0);
@@ -98,6 +96,17 @@ class Tracer {
   void Clear();
 
  private:
+  // Spans open and close only through ScopedSpan. Begin, End and Instant
+  // stay out of line on purpose: each writes its fields straight into the
+  // ring slot, and inlining the writes into every span site cost the
+  // unobserved trap path 7-14% of paper_tables throughput (RelWithDebInfo,
+  // 4-vCPU Xeon VM).
+  template <typename Clocked>
+  friend class ScopedSpan;
+  uint64_t Begin(int cpu, const char* category, const char* name,
+                 uint64_t ts);
+  void End(int cpu, const char* category, const char* name, uint64_t ts);
+
   // The slot the next event goes to: appended while the ring grows, the
   // oldest event's once it is full (counted as a drop).
   TraceEvent& NextSlot();

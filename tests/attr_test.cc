@@ -422,19 +422,19 @@ TEST(AttrNeveTest, NeveCutsTrapAndWorldSwitchCost) {
   AttributedRun neve = RunArmMicrobenchAttributed(
       MicrobenchKind::kHypercall, StackConfig::NestedNeve(false), 16);
 
-  auto cat_sum = [](const AttributedRun& run, AttrCat cat) {
+  auto cat_sum = [](const std::vector<AttrBucket>& buckets, AttrCat cat) {
     uint64_t s = 0;
-    for (const AttrBucket& b : run.buckets) {
+    for (const AttrBucket& b : buckets) {
       if (b.cat == cat) {
         s += b.cycles;
       }
     }
     return s;
   };
-  EXPECT_LT(cat_sum(neve, AttrCat::kTrapSysReg),
-            cat_sum(v83, AttrCat::kTrapSysReg));
-  EXPECT_LT(cat_sum(neve, AttrCat::kWorldSwitchEnter),
-            cat_sum(v83, AttrCat::kWorldSwitchEnter));
+  EXPECT_LT(cat_sum(neve.buckets, AttrCat::kTrapSysReg),
+            cat_sum(v83.buckets, AttrCat::kTrapSysReg));
+  EXPECT_LT(cat_sum(neve.buckets, AttrCat::kWorldSwitchEnter),
+            cat_sum(v83.buckets, AttrCat::kWorldSwitchEnter));
 
   auto overhead = [&](const AttributedRun& run) {
     uint64_t s = 0;
@@ -447,8 +447,26 @@ TEST(AttrNeveTest, NeveCutsTrapAndWorldSwitchCost) {
   };
   EXPECT_LT(overhead(neve), overhead(v83));
   // VNCR redirects exist only under NEVE.
-  EXPECT_EQ(cat_sum(v83, AttrCat::kVncrRedirect), 0u);
-  EXPECT_GT(cat_sum(neve, AttrCat::kVncrRedirect), 0u);
+  EXPECT_EQ(cat_sum(v83.buckets, AttrCat::kVncrRedirect), 0u);
+  EXPECT_GT(cat_sum(neve.buckets, AttrCat::kVncrRedirect), 0u);
+
+  // Each deferred vEL2 access lands in that bucket, in either direction: on
+  // a bare NEVE CPU one read and one write add mem_access each.
+  PhysMem mem(16ull << 20);
+  Cpu cpu(0, ArchFeatures::Armv84Neve(), CostModel::Default(), &mem);
+  CycleAttribution attr;
+  attr.AttachCpu(0);
+  cpu.SetAttribution(&attr);
+  cpu.PokeReg(RegId::kVNCR_EL2, VncrEl2::Make(8ull << 20, true).bits());
+  cpu.PokeReg(RegId::kHCR_EL2, Hcr::Make({HcrBits::kVm, HcrBits::kImo,
+                                          HcrBits::kNv, HcrBits::kNv1}));
+  const uint64_t access = cpu.cost().mem_access;
+  cpu.RunLowerEl(El::kEl1, [&] {
+    (void)cpu.SysRegRead(SysReg::kVTTBR_EL2);
+    EXPECT_EQ(cat_sum(attr.Snapshot(), AttrCat::kVncrRedirect), access);
+    cpu.SysRegWrite(SysReg::kVTTBR_EL2, 1);
+    EXPECT_EQ(cat_sum(attr.Snapshot(), AttrCat::kVncrRedirect), 2 * access);
+  });
 }
 
 // --- trap-episode profiler ---------------------------------------------------

@@ -101,15 +101,62 @@ TEST_F(CpuFixture, HvcFromGuestTrapsWithImmediate) {
 }
 
 TEST_F(CpuFixture, TrapChargesEntryAndReturn) {
-  EnterGuestContext(Hcr::Make({HcrBits::kImo}));
-  uint64_t c0 = 0, c1 = 0;
-  cpu_.RunLowerEl(El::kEl1, [&] {
-    c0 = cpu_.cycles();
-    cpu_.Hvc(1);
-    c1 = cpu_.cycles();
-  });
-  EXPECT_EQ(c1 - c0, cpu_.cost().trap_entry + cpu_.cost().detect_hvc +
-                         cpu_.cost().trap_return);
+  // Every trap class the fixture can raise costs entry + its detect delta +
+  // return, plus the operation's own charges. The deltas are distinct and
+  // nonzero here (the defaults give HVC, TLBI and IRQ all 0), so a class
+  // mapped to another class's delta, or to none, changes the count.
+  CostModel cost = CostModel::Default();
+  cost.detect_hvc = 3;
+  cost.detect_sysreg = 5;
+  cost.detect_eret = 7;
+  cost.detect_mem_abort = 11;
+  cost.detect_wfx = 13;
+  const uint64_t imo = Hcr::Make({HcrBits::kImo});
+  struct Row {
+    const char* what;
+    uint64_t hcr;
+    Ec ec;
+    uint32_t detect;
+    uint32_t own;  // the operation's charges besides the trap
+    void (*op)(Cpu&);
+  };
+  const Row rows[] = {
+      {"hvc", imo, Ec::kHvc64, cost.detect_hvc, 0, [](Cpu& c) { c.Hvc(1); }},
+      {"sysreg read", Vel2Hcr(false), Ec::kSysReg, cost.detect_sysreg, 0,
+       [](Cpu& c) { (void)c.SysRegRead(SysReg::kHACR_EL2); }},
+      {"sysreg write", Vel2Hcr(false), Ec::kSysReg, cost.detect_sysreg, 0,
+       [](Cpu& c) { c.SysRegWrite(SysReg::kCPTR_EL2, 1); }},
+      {"eret", Vel2Hcr(false), Ec::kEretTrap, cost.detect_eret, 0,
+       [](Cpu& c) { c.EretFromVirtualEl2(); }},
+      {"wfi under TWI", Hcr::Make({HcrBits::kImo, HcrBits::kTwi}), Ec::kWfx,
+       cost.detect_wfx, 0, [](Cpu& c) { c.Wfi(); }},
+      {"tlbi under trap_tlbi", imo, Ec::kTlbi, cost.detect_hvc, cost.barrier,
+       [](Cpu& c) { c.TlbiAll(); }},
+      {"irq", imo, Ec::kIrq, 0, 0, [](Cpu& c) { c.TakeIrq(48); }},
+      // VTTBR_EL2 = 0 names an empty Stage-2 table: every access faults.
+      {"stage-2 data abort", Hcr::Make({HcrBits::kVm, HcrBits::kImo}),
+       Ec::kDataAbortLow, cost.detect_mem_abort,
+       PageTable::kWalkLevels * cost.tlb_walk_per_level,
+       [](Cpu& c) { (void)c.LoadVa(Va(0x1000)); }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.what);
+    Cpu cpu(0, ArchFeatures::Armv84Neve(), cost, &mem_);
+    FakeHost host;
+    cpu.SetEl2Host(&host);
+    cpu.SetTrapTlbi(true);
+    cpu.PokeReg(RegId::kHCR_EL2, row.hcr);
+    uint64_t c0 = 0, c1 = 0;
+    cpu.RunLowerEl(El::kEl1, [&] {
+      c0 = cpu.cycles();
+      row.op(cpu);
+      c1 = cpu.cycles();
+    });
+    ASSERT_EQ(host.syndromes.size(), 1u);
+    EXPECT_EQ(host.syndromes[0].ec, row.ec);
+    EXPECT_EQ(c1 - c0,
+              cost.trap_entry + row.detect + cost.trap_return + row.own);
+  }
 }
 
 TEST_F(CpuFixture, ExceptionEntryPopulatesEl2Registers) {

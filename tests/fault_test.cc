@@ -9,8 +9,10 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "src/hyp/guest_kvm.h"
 #include "src/hyp/host_kvm.h"
 #include "src/hyp/virtio.h"
+#include "src/obs/observability.h"
 #include "src/workload/stacks.h"
 
 namespace neve {
@@ -91,23 +94,41 @@ TEST(FaultInjectorTest, RateZeroDrawsNothing) {
 
 // --- end-to-end campaigns ----------------------------------------------------
 
+// Begin events minus End events in the trace ring: the spans left open.
+// Unknown once the ring wrapped, since an overwrite can drop either half of
+// a pair.
+std::optional<int64_t> OpenSpans(const Observability& obs) {
+  if (obs.tracer().dropped_events() != 0) {
+    return std::nullopt;
+  }
+  int64_t open = 0;
+  for (const TraceEvent& e : obs.tracer().Snapshot()) {
+    open += e.phase == TracePhase::kBegin ? 1 : 0;
+    open -= e.phase == TracePhase::kEnd ? 1 : 0;
+  }
+  return open;
+}
+
 struct CampaignResult {
   Status status;
   std::string log;
   uint64_t injections = 0;
   uint64_t cycles = 0;
   uint64_t traps = 0;
+  std::optional<int64_t> open_spans;
 };
 
 // Runs a nested (L2-under-L1) workload with enough variety -- memory traffic
 // through the shadow Stage-2, hypercalls, world switches -- to present many
-// injection opportunities.
+// injection opportunities. Observability is on, as in the chaos campaigns;
+// recording charges no simulated cycle.
 CampaignResult RunNestedCampaign(const FaultConfig& fault, bool vhe = false,
                                  bool neve = false) {
   StackConfig cfg =
       neve ? StackConfig::NestedNeve(vhe) : StackConfig::NestedV83(vhe);
   cfg.fault = fault;
   ArmStack stack(cfg, 1);
+  stack.machine().obs().set_enabled(true);
   CampaignResult r;
   r.status = stack.Run([](GuestEnv& env) {
     for (int i = 0; i < 40; ++i) {
@@ -120,6 +141,7 @@ CampaignResult RunNestedCampaign(const FaultConfig& fault, bool vhe = false,
   r.injections = stack.machine().fault().total_injections();
   r.cycles = stack.machine().cpu(0).cycles();
   r.traps = stack.TotalTrapsToHost();
+  r.open_spans = OpenSpans(stack.machine().obs());
   return r;
 }
 
@@ -204,6 +226,8 @@ TEST(CampaignTest, InjectedGuestHypPanicIsConfined) {
   EXPECT_FALSE(r.status.ok());
   EXPECT_THAT(r.status.message(), HasSubstr("guest_hyp_panic"));
   EXPECT_GE(r.injections, 1u);
+  // The panic unwinds the trap episodes it interrupted; their spans close.
+  EXPECT_EQ(r.open_spans, 0);
 }
 
 TEST(CampaignTest, InjectedTrapLoopIsCaughtByWatchdog) {
@@ -212,6 +236,7 @@ TEST(CampaignTest, InjectedTrapLoopIsCaughtByWatchdog) {
   CampaignResult r = RunNestedCampaign(fc);
   EXPECT_FALSE(r.status.ok());
   EXPECT_THAT(r.status.message(), HasSubstr("watchdog"));
+  EXPECT_EQ(r.open_spans, 0);
 }
 
 // --- confinement -------------------------------------------------------------
@@ -270,6 +295,8 @@ TEST(ConfinementTest, FaultedVmDiesSiblingRunsWithUnchangedCycles) {
       machine.obs().metrics().FindCounter("fault.vm_kills");
   ASSERT_NE(kills, nullptr);
   EXPECT_EQ(kills->value(), 1u);
+  // The kill unwound VM a's data-abort trap episode; its span still closed.
+  EXPECT_EQ(OpenSpans(machine.obs()), 0);
 }
 
 TEST(ConfinementTest, DeadVmRefusesToRunUntilRestarted) {

@@ -281,11 +281,25 @@ TEST(MetricRefTest, RegistryAtAReusedAddressIsANewRegistry) {
 
 // --- Tracer ------------------------------------------------------------------
 
+// Minimal stand-in for a Cpu: the span template only needs cycles()/index().
+// Spans reach the tracer only through ScopedSpan.
+struct FakeClock {
+  uint64_t cycles() const { return now; }
+  int index() const { return 3; }
+  uint64_t now = 0;
+};
+
 TEST(TracerTest, RecordsInOrder) {
-  Tracer t;
-  t.Begin(0, "trap", "hvc", 100);
-  t.Instant(0, "vncr", "redirect", 150, "reg", 7);
-  t.End(0, "trap", "hvc", 200);
+  Observability obs;
+  obs.set_enabled(true);
+  FakeClock clock;
+  {
+    clock.now = 100;
+    ScopedSpan span(&obs, clock, "trap", "hvc");
+    obs.tracer().Instant(clock.index(), "vncr", "redirect", 150, "reg", 7);
+    clock.now = 200;
+  }
+  const Tracer& t = obs.tracer();
   auto events = t.Snapshot();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].phase, TracePhase::kBegin);
@@ -315,14 +329,22 @@ TEST(TracerTest, RingOverwritesOldestAndCountsDrops) {
 }
 
 TEST(TracerTest, EventIdsAreMonotonicFromOne) {
-  Tracer t;
-  EXPECT_EQ(t.Begin(0, "trap", "hvc", 10), 1u);
-  EXPECT_EQ(t.Instant(0, "vncr", "redirect", 20), 2u);
-  EXPECT_EQ(t.Begin(0, "trap", "wfx", 30), 3u);
-  auto events = t.Snapshot();
-  ASSERT_EQ(events.size(), 3u);
+  Observability obs;
+  obs.set_enabled(true);
+  FakeClock clock;
+  {
+    ScopedSpan hvc(&obs, clock, "trap", "hvc");
+    EXPECT_EQ(hvc.id(), 1u);
+    EXPECT_EQ(obs.tracer().Instant(0, "vncr", "redirect", 20), 2u);
+    ScopedSpan wfx(&obs, clock, "trap", "wfx");
+    EXPECT_EQ(wfx.id(), 3u);
+  }
+  auto events = obs.tracer().Snapshot();
+  ASSERT_EQ(events.size(), 5u);  // the two End events, wfx's first
   EXPECT_EQ(events[0].id, 1u);
   EXPECT_EQ(events[2].id, 3u);
+  EXPECT_EQ(std::string_view(events[3].name), "wfx");
+  EXPECT_EQ(events[4].id, 5u);
 }
 
 TEST(TracerTest, DropCounterMirrorsRingOverwrites) {
@@ -366,16 +388,21 @@ TEST(TracerTest, ClearEmptiesRing) {
 }
 
 TEST(TracerTest, ChromeJsonShape) {
-  Tracer t;
-  t.Begin(2, "world_switch", "save_el1", 1000);
-  t.End(2, "world_switch", "save_el1", 1500);
-  t.Instant(0, "gic", "virtual_ack", 1700, "intid", 27);
-  std::string json = t.ToChromeJson();
+  Observability obs;
+  obs.set_enabled(true);
+  FakeClock clock;
+  {
+    clock.now = 1000;
+    ScopedSpan span(&obs, clock, "world_switch", "save_el1");
+    clock.now = 1500;
+  }
+  obs.tracer().Instant(0, "gic", "virtual_ack", 1700, "intid", 27);
+  std::string json = obs.tracer().ToChromeJson();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"E\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":2"), std::string::npos);  // CPU -> track
+  EXPECT_NE(json.find("\"tid\":3"), std::string::npos);  // CPU -> track
   EXPECT_NE(json.find("\"cat\":\"world_switch\""), std::string::npos);
   EXPECT_NE(json.find("\"intid\":27"), std::string::npos);
   EXPECT_NE(json.find("\"ts\":1000"), std::string::npos);
@@ -391,13 +418,6 @@ TEST(ObservabilityTest, DisabledByDefaultAndNullSafe) {
   obs.set_enabled(true);
   EXPECT_TRUE(ObsActive(&obs));
 }
-
-// Minimal stand-in for a Cpu: the span template only needs cycles()/index().
-struct FakeClock {
-  uint64_t cycles() const { return now; }
-  int index() const { return 3; }
-  uint64_t now = 0;
-};
 
 TEST(ObservabilityTest, ScopedSpanEmitsBalancedPair) {
   Observability obs;
@@ -437,7 +457,10 @@ TEST(ObservabilityTest, ScopedSpanCapturesEnableAtConstruction) {
 TEST(ObservabilityTest, DisabledSpanRecordsNothing) {
   Observability obs;
   FakeClock clock;
-  { ScopedSpan span(&obs, clock, "trap", "hvc"); }
+  {
+    ScopedSpan span(&obs, clock, "trap", "hvc");
+    EXPECT_EQ(span.id(), 0u);
+  }
   { ScopedSpan span(nullptr, clock, "trap", "hvc"); }
   EXPECT_EQ(obs.tracer().size(), 0u);
 }

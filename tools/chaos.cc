@@ -20,6 +20,8 @@
 //   - the process survives every campaign: an injected fault kills at most
 //     the faulting VM, never the machine (a process abort fails the run)
 //   - the fault.* metrics reconcile exactly with the injector's log
+//   - every trace span the run began is closed (checked when the ring did
+//     not wrap), also those a confined fault unwound
 //   - a campaign that killed its VM can RestartVm() and complete a clean
 //     follow-up run on the same machine
 //
@@ -39,6 +41,7 @@
 #include "src/fault/fault.h"
 #include "src/hyp/guest_kvm.h"
 #include "src/hyp/host_kvm.h"
+#include "src/obs/tracer.h"
 #include "src/snap/migrate.h"
 #include "src/workload/stacks.h"
 
@@ -148,6 +151,20 @@ void RunCampaign(const NamedConfig& nc, uint64_t seed, double rate,
   if (per_point_sum != fi.total_injections()) {
     Violation(t, nc.name, seed, "per-point sum", per_point_sum,
               fi.total_injections());
+  }
+
+  // Every trace span closes, also when a confined fault unwinds it. Only a
+  // ring that never wrapped still holds both halves of every pair.
+  const Tracer& tracer = stack.machine().obs().tracer();
+  if (tracer.dropped_events() == 0) {
+    uint64_t begins = 0, ends = 0;
+    for (const TraceEvent& e : tracer.Snapshot()) {
+      begins += e.phase == TracePhase::kBegin ? 1 : 0;
+      ends += e.phase == TracePhase::kEnd ? 1 : 0;
+    }
+    if (ends != begins) {
+      Violation(t, nc.name, seed, "trace spans closed", ends, begins);
+    }
   }
 
   // Confinement: a failed run means exactly one confined VM kill, and the

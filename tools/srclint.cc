@@ -3,12 +3,8 @@
 //   srclint <repo-root>            lint; exit nonzero on findings
 //   srclint --lockset <repo-root>  print the shared-mutation inventory
 //
-// Scans <repo-root>/src/**.{h,cc,inc} and exits nonzero with file:line
-// diagnostics on violations (raw register-file access outside whitelisted
-// files, .inc table rows out of canonical form, trap paths missing cycle
-// charging or observability, unbalanced tracer spans, guest-reachable
-// aborts, members mutated across translation units without a lock
-// annotation or justification).
+// Scans <repo-root>/src/**.{h,cc} and exits nonzero with file:line
+// diagnostics on violations of the rules listed in src/analysis/srclint.h.
 //
 // --lockset prints the audit's raw material: every member-convention field,
 // where it is declared, whether it is GUARDED_BY / single-mutator
