@@ -1,14 +1,23 @@
 // A minimal fork-join helper for the bench and fuzz harnesses.
 //
 // The fig2/table benches iterate independent Machine instances (one per
-// workload x stack cell), and the fuzzer runs independent cases and, within
-// one case, independent stack variants; a Machine is self-contained -- its
-// CPUs, memory, GIC, timers and observability layer share no mutable global
-// state (the only process-wide mutable is the log level, which no caller
-// touches mid-run). ParallelFor fans that work out across a small thread
-// pool and joins before returning, so callers fill index-addressed result
-// arrays in parallel and read them serially afterwards: output stays
-// byte-for-byte deterministic regardless of thread count.
+// workload x stack cell), and the fuzzer runs the stack variants of
+// independent cases; a Machine is self-contained -- its CPUs, memory, GIC,
+// timers and observability layer share no mutable global state (the only
+// process-wide mutable is the log level, which no caller touches mid-run).
+// ParallelFor fans that work out across a small thread pool and joins
+// before returning, so callers fill index-addressed result arrays in
+// parallel and read them serially afterwards: output stays byte-for-byte
+// deterministic regardless of thread count.
+//
+// The pool's worker threads are kept between calls, parked on a condition
+// variable: the fuzzer's minimizer makes hundreds of calls per campaign,
+// each a fraction of a millisecond long, and starting and joining three
+// threads cost a 4-thread call 40 us or more over waking parked ones
+// (DESIGN.md 6i). The workers belong to the thread that calls ParallelFor,
+// one set per nesting depth of its calls, and exit with it. So two threads
+// calling at once never share workers, and a ParallelFor nested inside fn
+// -- on a worker or on the calling thread -- gets a set of its own.
 
 #ifndef NEVE_SRC_BASE_PARALLEL_H_
 #define NEVE_SRC_BASE_PARALLEL_H_
@@ -19,7 +28,6 @@
 #include <exception>
 #include <functional>
 #include <thread>
-#include <vector>
 
 #include "src/base/mutex.h"
 
@@ -33,11 +41,23 @@ inline unsigned DefaultBenchThreads() {
   return std::clamp(hw, 1u, 8u);
 }
 
-// Invokes fn(0) .. fn(n-1), distributing indices across `threads` workers
-// via an atomic work counter (cells have uneven costs -- nested NEVE stacks
-// run ~10x faster than nested v8.3 stacks -- so static striping would leave
-// workers idle). threads <= 1 runs inline. Joins all workers before
-// returning. fn must not touch shared mutable state for distinct indices.
+namespace parallel_internal {
+
+// Runs work() on the calling thread and on `helpers` of the workers the
+// calling thread keeps for its current nesting depth, and returns once
+// every run of it has returned. work() must return only when nothing is
+// left for anyone to do: a worker that wakes after the calling thread's
+// run returned skips the call.
+void RunOnKeptWorkers(unsigned helpers, const std::function<void()>& work);
+
+}  // namespace parallel_internal
+
+// Invokes fn(0) .. fn(n-1), distributing indices across `threads` threads
+// -- the calling thread and threads-1 kept workers -- via an atomic work
+// counter (cells have uneven costs -- nested NEVE stacks run ~10x faster
+// than nested v8.3 stacks -- so static striping would leave workers idle).
+// threads <= 1 runs inline. Returns after every index has run. fn must not
+// touch shared mutable state for distinct indices.
 //
 // Exception semantics: a throw from fn(i) never escapes a worker thread
 // (that would std::terminate the process) and never deadlocks the join.
@@ -68,22 +88,13 @@ inline void ParallelFor(size_t n, unsigned threads,
     }
   } else {
     std::atomic<size_t> next{0};
-    auto worker = [&] {
+    std::function<void()> drain = [&] {
       for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
         invoke(i);
       }
     };
-    std::vector<std::thread> pool;
-    unsigned spawned =
-        std::min<size_t>(threads, n) - 1;  // this thread works too
-    pool.reserve(spawned);
-    for (unsigned t = 0; t < spawned; ++t) {
-      pool.emplace_back(worker);
-    }
-    worker();
-    for (std::thread& t : pool) {
-      t.join();
-    }
+    parallel_internal::RunOnKeptWorkers(
+        static_cast<unsigned>(std::min<size_t>(threads, n)) - 1, drain);
   }
   if (first_error) {
     std::rethrow_exception(first_error);

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <set>
 
-#include "src/base/parallel.h"
 #include "src/base/rng.h"
 
 namespace neve::fuzz {
@@ -108,38 +108,24 @@ void MutateOnce(Rng& rng, const std::vector<std::vector<uint8_t>>& corpus,
   }
 }
 
-// Greedy chunked shrinking: repeatedly try deleting chunks (halving the
-// chunk size down to one byte) while `keep` still accepts the re-run. Each
-// re-run fans its stack variants out across `threads`.
-std::vector<uint8_t> Shrink(
-    std::vector<uint8_t> bytes,
-    const std::function<bool(const CaseResult&)>& keep, uint64_t budget,
-    unsigned threads, uint64_t* execs, CaseResult* last_kept) {
-  for (size_t chunk = std::max<size_t>(bytes.size() / 2, 1); chunk >= 1;
-       chunk /= 2) {
-    for (size_t pos = 0; pos + chunk <= bytes.size();) {
-      if (bytes.size() <= 1 || budget == 0) {
-        return bytes;
-      }
-      std::vector<uint8_t> cand(bytes);
-      cand.erase(cand.begin() + pos, cand.begin() + pos + chunk);
-      CaseResult r = RunCase(cand, threads);
-      *execs += r.execs;
-      --budget;
-      if (keep(r)) {
-        bytes = std::move(cand);
-        if (last_kept != nullptr) {
-          *last_kept = std::move(r);
-        }
-      } else {
-        pos += chunk;
-      }
+// Where the next deletion is tried: `chunk` bytes at `pos`.
+struct ShrinkCursor {
+  size_t chunk = 1;
+  size_t pos = 0;
+};
+
+// Moves `c` to the first deletion that fits in `size` bytes at or after it,
+// halving the chunk (from position 0) as each size runs out. False once
+// the one-byte chunk has run out.
+bool Fit(ShrinkCursor* c, size_t size) {
+  while (c->pos + c->chunk > size) {
+    if (c->chunk == 1) {
+      return false;
     }
-    if (chunk == 1) {
-      break;
-    }
+    c->chunk /= 2;
+    c->pos = 0;
   }
-  return bytes;
+  return true;
 }
 
 }  // namespace
@@ -160,13 +146,69 @@ std::vector<uint8_t> Fuzzer::GenerateInput(uint64_t case_index) const {
   return bytes;
 }
 
+std::vector<uint8_t> Shrink(std::vector<uint8_t> bytes,
+                            const std::function<bool(const CaseResult&)>& keep,
+                            size_t per_round, const CandidateRunner& run,
+                            uint64_t* budget, uint64_t* execs,
+                            CaseResult* last_kept) {
+  ShrinkCursor at{.chunk = std::max<size_t>(bytes.size() / 2, 1)};
+  while (bytes.size() > 1 && *budget > 0 && Fit(&at, bytes.size())) {
+    std::vector<ShrinkCursor> tried = {at};
+    while (tried.size() < std::min<uint64_t>(per_round, *budget)) {
+      ShrinkCursor next = tried.back();
+      next.pos += next.chunk;
+      if (!Fit(&next, bytes.size())) {
+        break;
+      }
+      tried.push_back(next);
+    }
+    std::vector<std::vector<uint8_t>> cands(tried.size(), bytes);
+    for (size_t k = 0; k < tried.size(); ++k) {
+      auto first = cands[k].begin() + static_cast<ptrdiff_t>(tried[k].pos);
+      cands[k].erase(first, first + static_cast<ptrdiff_t>(tried[k].chunk));
+    }
+    std::vector<CaseResult> results = run(cands);
+    for (size_t k = 0; k < tried.size(); ++k) {
+      *execs += results[k].execs;
+      --*budget;
+      at = tried[k];
+      if (keep(results[k])) {
+        bytes = std::move(cands[k]);
+        if (last_kept != nullptr) {
+          *last_kept = std::move(results[k]);
+        }
+        break;  // the later candidates deleted from the old bytes
+      }
+      at.pos += at.chunk;
+    }
+  }
+  return bytes;
+}
+
+std::vector<uint8_t> Fuzzer::Minimize(
+    const std::vector<uint8_t>& bytes,
+    const std::function<bool(const CaseResult&)>& keep, uint64_t budget,
+    CaseResult* last_kept) {
+  // Two candidates per round: 19% of candidates are kept, so the second is
+  // usually the one tried next. Three and four per round measured no
+  // faster than two on a 4-core host: discarded runs take threads from the
+  // kept ones (DESIGN.md 6g).
+  const size_t per_round = opts_.threads > 1 ? 2 : 1;
+  return Shrink(
+      bytes, keep, per_round,
+      [&](const std::vector<std::vector<uint8_t>>& cands) {
+        return RunCases(cands, opts_.threads);
+      },
+      &budget, &execs_, last_kept);
+}
+
 std::vector<uint8_t> Fuzzer::MinimizeFailure(const std::vector<uint8_t>& bytes,
                                              const std::string& failure) {
   std::string oracle = OracleOf(failure);
-  return Shrink(
+  return Minimize(
       bytes,
       [&](const CaseResult& r) { return !r.ok && OracleOf(r.failure) == oracle; },
-      opts_.minimize_budget, opts_.threads, &execs_, nullptr);
+      opts_.minimize_budget, nullptr);
 }
 
 std::vector<uint8_t> Fuzzer::MinimizeForCoverage(
@@ -188,8 +230,7 @@ std::vector<uint8_t> Fuzzer::MinimizeForCoverage(
     }
     return std::includes(got.begin(), got.end(), target.begin(), target.end());
   };
-  return Shrink(bytes, covers, opts_.minimize_budget / 4, opts_.threads,
-                &execs_, result);
+  return Minimize(bytes, covers, opts_.minimize_budget / 4, result);
 }
 
 std::string Fuzzer::WriteCorpusFile(const char* prefix, uint64_t case_index,
@@ -213,17 +254,15 @@ int Fuzzer::Run(std::ostream& out) {
   uint64_t batches = 0;
   for (uint64_t base = 0; base < opts_.runs && !stop; base += kBatch) {
     uint64_t n = std::min(kBatch, opts_.runs - base);
-    // Inputs derive from the corpus as frozen here; RunCase is pure, so the
-    // fan-out below cannot observe merge order. One thread per case here;
-    // the serial merge path's shrinks fan each case's variants out instead,
-    // so ParallelFor never nests.
+    // Inputs derive from the corpus as frozen here; RunCases is pure, so
+    // its fan-out cannot observe merge order. It runs every variant of the
+    // batch in one ParallelFor, as the merge path's shrink rounds run the
+    // variants of their candidates; neither nests a ParallelFor.
     std::vector<std::vector<uint8_t>> inputs(n);
     for (uint64_t i = 0; i < n; ++i) {
       inputs[i] = GenerateInput(base + i);
     }
-    std::vector<CaseResult> results(n);
-    ParallelFor(n, opts_.threads,
-                [&](size_t i) { results[i] = RunCase(inputs[i]); });
+    std::vector<CaseResult> results = RunCases(inputs, opts_.threads);
     for (uint64_t i = 0; i < n; ++i) {
       execs_ += results[i].execs;
       ++cases_run_;

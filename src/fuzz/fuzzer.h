@@ -5,17 +5,22 @@
 // wall-clock anything. The engine achieves this by working in fixed-size
 // batches: inputs for a batch are generated serially from per-case seeds
 // (DigestOf(master_seed, case_index)) against a corpus frozen at the start
-// of the batch, the pure RunCase calls fan out across threads (one thread
-// per case), and results merge serially in case order (coverage accounting,
-// corpus growth, minimization and reporting all happen on the merge path).
-// Minimization is a sequence of pure re-runs; each one fans its case's
-// stack variants out across the threads, and RunCase returns the same
-// result at any thread count (see harness.h).
+// of the batch, one pure RunCases call runs every stack variant of every
+// case across the threads, and results merge serially in case order
+// (coverage accounting, corpus growth, minimization and reporting all
+// happen on the merge path). Minimization is a sequence of pure re-runs in
+// rounds: at more than one thread a round runs the next two candidates the
+// one-at-a-time loop would try if the first were rejected, in one RunCases
+// call, and reads them in order up to the first kept one. Runs past it are
+// discarded uncounted, so `execs`, the re-run budget and every kept byte
+// match the one-at-a-time loop at every thread count (see Shrink).
 
 #ifndef NEVE_SRC_FUZZ_FUZZER_H_
 #define NEVE_SRC_FUZZ_FUZZER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -58,6 +63,12 @@ class Fuzzer {
 
  private:
   std::vector<uint8_t> GenerateInput(uint64_t case_index) const;
+  // Shrink on RunCases at the campaign's thread count, two candidates per
+  // round at more than one thread.
+  std::vector<uint8_t> Minimize(
+      const std::vector<uint8_t>& bytes,
+      const std::function<bool(const CaseResult&)>& keep, uint64_t budget,
+      CaseResult* last_kept);
   std::vector<uint8_t> MinimizeFailure(const std::vector<uint8_t>& bytes,
                                        const std::string& failure);
   std::vector<uint8_t> MinimizeForCoverage(const std::vector<uint8_t>& bytes,
@@ -73,6 +84,26 @@ class Fuzzer {
   uint64_t cases_run_ = 0;
   uint64_t execs_ = 0;
 };
+
+// Runs one round of shrink candidates: one result per candidate, in order.
+using CandidateRunner = std::function<std::vector<CaseResult>(
+    const std::vector<std::vector<uint8_t>>& candidates)>;
+
+// Greedy chunked shrinking: deletes chunks of `bytes` (halving the chunk
+// size down to one byte), keeping each deletion whose re-run `keep`
+// accepts, until the input is one byte long, no deletion is left or
+// `*budget` re-runs are spent. Each round hands `run` the next `per_round`
+// candidates the one-at-a-time loop (per_round = 1) would try if every
+// earlier one were rejected, and reads their results in order up to the
+// first kept one; later results are discarded uncounted. Every read result
+// adds its execs to `*execs` and takes one from `*budget`, so the returned
+// bytes, `*execs`, `*budget` and `*last_kept` (the last kept result, when
+// not null) do not depend on `per_round`.
+std::vector<uint8_t> Shrink(std::vector<uint8_t> bytes,
+                            const std::function<bool(const CaseResult&)>& keep,
+                            size_t per_round, const CandidateRunner& run,
+                            uint64_t* budget, uint64_t* execs,
+                            CaseResult* last_kept);
 
 // --- replayable seed files ---------------------------------------------------
 // Format: "# stackfuzz seed v1" header, optional "# ..." comment lines, then

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <map>
 #include <string_view>
+#include <utility>
 
 #include "src/arch/hcr.h"
 #include "src/base/digest.h"
@@ -877,45 +878,18 @@ bool CompareCrossArch(const RunResult& v83, const RunResult& neve,
   return false;
 }
 
-// Runs every variant in one fan-out across `threads` workers into
-// index-addressed slots, so the caller reads the same results at any
-// thread count.
-std::vector<RunResult> RunVariants(const Program& p,
-                                   const std::vector<VariantSpec>& specs,
-                                   unsigned threads) {
-  std::vector<RunResult> runs(specs.size());
-  ParallelFor(specs.size(), threads,
-              [&](size_t i) { runs[i] = RunProgramVariant(p, specs[i]); });
-  return runs;
-}
-
-}  // namespace
-
-RunResult RunProgramVariant(const Program& program, const VariantSpec& v) {
-  RunResult r;
-  Executor ex(program, v, &r);
-  ex.Run();
-  return r;
-}
-
-CaseResult RunCase(const std::vector<uint8_t>& bytes, unsigned threads) {
-  Program p = DecodeProgram(bytes);
-  CaseResult out;
-
+// The stack variants `p` needs, in the order its oracles read them: the
+// fault pair, or the four base variants, then the batch pair and the
+// snapshot-split pair when the header arms them.
+std::vector<VariantSpec> VariantsOf(const Program& p) {
   if (p.cfg.fault) {
     VariantSpec on{.neve = p.cfg.fault_neve,
                    .cache_enabled = true,
                    .fault = p.cfg.fault_config};
     VariantSpec off = on;
     off.cache_enabled = false;
-    std::vector<RunResult> runs = RunVariants(p, {on, off}, threads);
-    out.execs = 2;
-    AppendFeatures(runs[0], &out);
-    CompareCachePair(runs[0], runs[1],
-                     p.cfg.fault_neve ? "neve,fault" : "v83,fault", &out);
-    return out;
+    return {on, off};
   }
-
   std::vector<VariantSpec> specs = {
       {.neve = false},
       {.neve = false, .cache_enabled = false},
@@ -929,7 +903,21 @@ CaseResult RunCase(const std::vector<uint8_t>& bytes, unsigned threads) {
     specs.push_back({.neve = false, .snap_restore = true});
     specs.push_back({.neve = true, .snap_restore = true});
   }
-  std::vector<RunResult> runs = RunVariants(p, specs, threads);
+  return specs;
+}
+
+// Checks the oracles on the results of VariantsOf(p), in their fixed order,
+// stopping at the first failure.
+CaseResult Judge(const Program& p, const std::vector<RunResult>& runs) {
+  CaseResult out;
+  if (p.cfg.fault) {
+    out.execs = 2;
+    AppendFeatures(runs[0], &out);
+    CompareCachePair(runs[0], runs[1],
+                     p.cfg.fault_neve ? "neve,fault" : "v83,fault", &out);
+    return out;
+  }
+
   const RunResult& v83_on = runs[0];
   const RunResult& v83_off = runs[1];
   const RunResult& nv_on = runs[2];
@@ -976,6 +964,51 @@ CaseResult RunCase(const std::vector<uint8_t>& bytes, unsigned threads) {
     }
   }
   return out;
+}
+
+}  // namespace
+
+RunResult RunProgramVariant(const Program& program, const VariantSpec& v) {
+  RunResult r;
+  Executor ex(program, v, &r);
+  ex.Run();
+  return r;
+}
+
+std::vector<CaseResult> RunCases(
+    const std::vector<std::vector<uint8_t>>& inputs, unsigned threads) {
+  struct Case {
+    Program program;
+    std::vector<VariantSpec> specs;
+    std::vector<RunResult> runs;  // index-addressed like specs
+  };
+  std::vector<Case> cases;
+  cases.reserve(inputs.size());
+  std::vector<std::pair<size_t, size_t>> slots;  // (case, variant)
+  for (const std::vector<uint8_t>& bytes : inputs) {
+    Case& c = cases.emplace_back();
+    c.program = DecodeProgram(bytes);
+    c.specs = VariantsOf(c.program);
+    c.runs.resize(c.specs.size());
+    for (size_t v = 0; v < c.specs.size(); ++v) {
+      slots.emplace_back(cases.size() - 1, v);
+    }
+  }
+  ParallelFor(slots.size(), threads, [&](size_t k) {
+    Case& c = cases[slots[k].first];
+    c.runs[slots[k].second] =
+        RunProgramVariant(c.program, c.specs[slots[k].second]);
+  });
+  std::vector<CaseResult> out;
+  out.reserve(cases.size());
+  for (const Case& c : cases) {
+    out.push_back(Judge(c.program, c.runs));
+  }
+  return out;
+}
+
+CaseResult RunCase(const std::vector<uint8_t>& bytes, unsigned threads) {
+  return std::move(RunCases({bytes}, threads).front());
 }
 
 }  // namespace neve::fuzz

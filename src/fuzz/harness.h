@@ -107,14 +107,20 @@ struct CaseResult {
 //                 the resolution cache).
 //
 // Every variant the program needs (the fault pair, or the four base variants
-// plus the batch and snapshot-split pairs the header arms) runs first, fanned
-// out across `threads` workers; the oracles then check the results serially,
-// in the order above, stopping at the first failure. `execs` counts only the
-// variants whose oracle stage was reached (2 for the fault pair; otherwise
-// 4, +2 batch, +2 snap). The thread count never changes the result. Because
+// plus the batch and snapshot-split pairs the header arms) runs first; the
+// oracles then check the results serially, in the order above, stopping at
+// the first failure. `execs` counts only the variants whose oracle stage was
+// reached (2 for the fault pair; otherwise 4, +2 batch, +2 snap). Because
 // the batch and snap variants run before the base oracles are checked, a
 // case that fails a base oracle and would also panic in a later variant
 // aborts -- at every thread count.
+//
+// RunCases runs every variant of every input in one fan-out across
+// `threads` workers, into index-addressed slots, then judges each input on
+// its own: result i is what RunCase(inputs[i]) returns. The thread count
+// never changes a result. RunCase is the one-input case.
+std::vector<CaseResult> RunCases(
+    const std::vector<std::vector<uint8_t>>& inputs, unsigned threads = 1);
 CaseResult RunCase(const std::vector<uint8_t>& bytes, unsigned threads = 1);
 
 }  // namespace neve::fuzz

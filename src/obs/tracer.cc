@@ -45,6 +45,7 @@ inline TraceEvent& Tracer::NextSlot() {
 
 uint64_t Tracer::Begin(int cpu, const char* category, const char* name,
                        uint64_t ts) {
+  ++open_spans_;
   TraceEvent& ev = NextSlot();
   ev = {.phase = TracePhase::kBegin,
         .cpu = cpu,
@@ -57,6 +58,7 @@ uint64_t Tracer::Begin(int cpu, const char* category, const char* name,
 
 void Tracer::End(int cpu, const char* category, const char* name,
                  uint64_t ts) {
+  --open_spans_;
   NextSlot() = {.phase = TracePhase::kEnd,
                 .cpu = cpu,
                 .ts = ts,

@@ -13,8 +13,9 @@
 // begin event gets its end event, also when a guest fault unwinds the span.
 // The ring overwrites the oldest events when full (a long run keeps the tail
 // of the episode, which is usually the part being inspected);
-// `dropped_events()` says how many were lost. chrome://tracing tolerates the
-// unbalanced begin/end pairs a wrapped ring can produce.
+// `dropped_events()` says how many were lost, and `open_spans()` counts the
+// spans still open whether or not the ring wrapped. chrome://tracing
+// tolerates the unbalanced begin/end pairs a wrapped ring can produce.
 //
 // Recording is a store into the ring: event names and categories are static
 // strings (literals, EcName, SysRegName, FaultPointName), so an event is
@@ -84,6 +85,11 @@ class Tracer {
   size_t capacity() const { return capacity_; }
   uint64_t dropped_events() const { return dropped_; }
 
+  // Spans begun minus spans ended over the tracer's life. Counted outside
+  // the ring, so it stays exact after the ring wraps; Clear() leaves it, as
+  // a span open across a Clear still closes.
+  int64_t open_spans() const { return open_spans_; }
+
   // Recorded events, oldest first (unwinds the ring).
   std::vector<TraceEvent> Snapshot() const;
 
@@ -116,6 +122,7 @@ class Tracer {
   size_t next_ = 0;                 // ring write position
   uint64_t dropped_ = 0;
   uint64_t next_id_ = 1;  // 0 is reserved for "no event"
+  int64_t open_spans_ = 0;
   MetricCounter* drop_counter_ = nullptr;
 };
 

@@ -62,6 +62,9 @@ class ArmStack {
   // (the engine's admission gate makes the boot happen-before every sibling)
   // and run one L2 vCPU per lane. Bodies coordinate with
   // GuestEnv::SmpWaitUntil; observability and fault injection must be off.
+  // A lane starts only once the lane before it first blocks in
+  // SmpWaitUntil or finishes, so bodies that never wait get no host
+  // parallelism: they run one lane after another (sim/smp.h).
   // Returns lane k's confined-fault status (or OK) at index k.
   std::vector<Status> RunSmp(std::vector<GuestMain> bodies, int threads);
 

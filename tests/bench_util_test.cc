@@ -1,11 +1,9 @@
-// Tests for the bench harness helpers: paper-delta formatting, CLI flag
-// parsing, and the parallel fan-out primitive.
+// Tests for the bench harness helpers: paper-delta formatting and CLI flag
+// parsing. ParallelFor's tests are in parallel_test.cc.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -91,25 +89,6 @@ TEST(FaultFlagsTest, CampaignEnabledOnlyByPositiveRate) {
   EXPECT_EQ(f.seed, 7u);
   EXPECT_EQ(f.rate, 0.1);
   EXPECT_GT(f.watchdog_budget, 22'000'000u);  // clears a full nested-v8.3 boot
-}
-
-TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {
-  for (unsigned threads : {1u, 2u, 7u}) {
-    constexpr size_t kN = 100;
-    std::vector<std::atomic<int>> seen(kN);
-    ParallelFor(kN, threads, [&](size_t i) { seen[i].fetch_add(1); });
-    for (size_t i = 0; i < kN; ++i) {
-      EXPECT_EQ(seen[i].load(), 1) << "index " << i << " threads " << threads;
-    }
-  }
-}
-
-TEST(ParallelForTest, MoreThreadsThanWorkIsFine) {
-  std::atomic<int> calls{0};
-  ParallelFor(3, 16, [&](size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 3);
-  ParallelFor(0, 4, [&](size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 3);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,28 +93,13 @@ TEST(FaultInjectorTest, RateZeroDrawsNothing) {
 
 // --- end-to-end campaigns ----------------------------------------------------
 
-// Begin events minus End events in the trace ring: the spans left open.
-// Unknown once the ring wrapped, since an overwrite can drop either half of
-// a pair.
-std::optional<int64_t> OpenSpans(const Observability& obs) {
-  if (obs.tracer().dropped_events() != 0) {
-    return std::nullopt;
-  }
-  int64_t open = 0;
-  for (const TraceEvent& e : obs.tracer().Snapshot()) {
-    open += e.phase == TracePhase::kBegin ? 1 : 0;
-    open -= e.phase == TracePhase::kEnd ? 1 : 0;
-  }
-  return open;
-}
-
 struct CampaignResult {
   Status status;
   std::string log;
   uint64_t injections = 0;
   uint64_t cycles = 0;
   uint64_t traps = 0;
-  std::optional<int64_t> open_spans;
+  int64_t open_spans = 0;
 };
 
 // Runs a nested (L2-under-L1) workload with enough variety -- memory traffic
@@ -141,7 +125,7 @@ CampaignResult RunNestedCampaign(const FaultConfig& fault, bool vhe = false,
   r.injections = stack.machine().fault().total_injections();
   r.cycles = stack.machine().cpu(0).cycles();
   r.traps = stack.TotalTrapsToHost();
-  r.open_spans = OpenSpans(stack.machine().obs());
+  r.open_spans = stack.machine().obs().tracer().open_spans();
   return r;
 }
 
@@ -153,6 +137,8 @@ TEST(CampaignTest, SameSeedIsByteIdenticalAcrossRuns) {
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.traps, b.traps);
   EXPECT_EQ(a.status.ToString(), b.status.ToString());
+  EXPECT_EQ(a.open_spans, 0);
+  EXPECT_EQ(b.open_spans, 0);
 }
 
 TEST(CampaignTest, LogIdenticalAcrossThreadFanout) {
@@ -161,11 +147,15 @@ TEST(CampaignTest, LogIdenticalAcrossThreadFanout) {
   constexpr size_t kCells = 4;
   auto run_cells = [&](unsigned threads) {
     std::vector<std::string> logs(kCells);
+    std::vector<int64_t> open_spans(kCells);
     ParallelFor(kCells, threads, [&](size_t i) {
       FaultConfig fc =
           Campaign(1000 + i, 0.02, kAllFaultPoints, 10'000'000);
-      logs[i] = RunNestedCampaign(fc).log;
+      CampaignResult r = RunNestedCampaign(fc);
+      logs[i] = r.log;
+      open_spans[i] = r.open_spans;
     });
+    EXPECT_EQ(open_spans, std::vector<int64_t>(kCells, 0));
     return logs;
   };
   std::vector<std::string> serial = run_cells(1);
@@ -185,6 +175,8 @@ TEST(CampaignTest, ArmedAtRateZeroMatchesDisabledExactly) {
   EXPECT_EQ(b.injections, 0u);
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.traps, b.traps);
+  EXPECT_EQ(a.open_spans, 0);
+  EXPECT_EQ(b.open_spans, 0);
 }
 
 TEST(CampaignTest, MetricsReconcileExactlyWithInjectionLog) {
@@ -296,7 +288,7 @@ TEST(ConfinementTest, FaultedVmDiesSiblingRunsWithUnchangedCycles) {
   ASSERT_NE(kills, nullptr);
   EXPECT_EQ(kills->value(), 1u);
   // The kill unwound VM a's data-abort trap episode; its span still closed.
-  EXPECT_EQ(OpenSpans(machine.obs()), 0);
+  EXPECT_EQ(machine.obs().tracer().open_spans(), 0);
 }
 
 TEST(ConfinementTest, DeadVmRefusesToRunUntilRestarted) {

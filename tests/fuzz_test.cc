@@ -1,12 +1,14 @@
 // Tests for the differential fuzzer: seed-stream decoding, program-decoder
 // totality and write policy, coverage accounting, harness oracles on known
-// seeds, engine determinism across thread counts, and seed-file round-trips.
+// seeds, minimizer rounds against the one-at-a-time loop, engine
+// determinism across thread counts, and seed-file round-trips.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -396,6 +398,135 @@ TEST(HarnessTest, RunCaseIsIdenticalAcrossThreadCounts) {
   }
   EXPECT_TRUE(fault && batch && snap && smp)
       << "tests/corpus no longer covers every case shape";
+}
+
+// --- minimizer rounds --------------------------------------------------------
+
+using Bytes = std::vector<uint8_t>;
+
+// A stand-in for RunCases. A candidate passes when `pred` accepts its bytes,
+// costs 2 + (size mod 5) execs, so a miscounted run shows in the total, and
+// reports its bytes as features, so the last kept result is recognisable.
+// Every round it is handed is logged.
+struct FakeRunner {
+  std::function<bool(const Bytes&)> pred;
+  std::vector<std::vector<Bytes>> rounds;
+
+  std::vector<CaseResult> operator()(const std::vector<Bytes>& cands) {
+    rounds.push_back(cands);
+    std::vector<CaseResult> out;
+    for (const Bytes& c : cands) {
+      CaseResult& r = out.emplace_back();
+      r.ok = pred(c);
+      r.execs = 2 + c.size() % 5;
+      r.features.assign(c.begin(), c.end());
+    }
+    return out;
+  }
+};
+
+struct ShrinkOutcome {
+  Bytes bytes;
+  uint64_t execs = 0;
+  uint64_t budget_used = 0;
+  CaseResult last_kept;
+  std::vector<std::vector<Bytes>> rounds;  // what the fake ran
+};
+
+ShrinkOutcome ShrinkWithFake(const Bytes& input,
+                             const std::function<bool(const Bytes&)>& pred,
+                             uint64_t budget, size_t per_round) {
+  FakeRunner fake{pred, {}};
+  ShrinkOutcome o;
+  uint64_t left = budget;
+  o.bytes = Shrink(
+      input, [](const CaseResult& r) { return r.ok; }, per_round,
+      [&](const std::vector<Bytes>& cands) { return fake(cands); }, &left,
+      &o.execs, &o.last_kept);
+  o.budget_used = budget - left;
+  o.rounds = std::move(fake.rounds);
+  return o;
+}
+
+Bytes Iota(size_t n) {
+  Bytes b(n);
+  for (size_t i = 0; i < n; ++i) {
+    b[i] = static_cast<uint8_t>(i);
+  }
+  return b;
+}
+
+bool Has(const Bytes& b, uint8_t v) {
+  return std::find(b.begin(), b.end(), v) != b.end();
+}
+
+TEST(ShrinkTest, TwoCandidateRoundsMatchTheOneAtATimeLoop) {
+  struct Scenario {
+    const char* name;
+    Bytes input;
+    std::function<bool(const Bytes&)> pred;
+  };
+  const std::vector<Scenario> scenarios = {
+      {"one marker", Iota(16), [](const Bytes& b) { return Has(b, 5); }},
+      {"two markers", Iota(16),
+       [](const Bytes& b) { return Has(b, 3) && Has(b, 12); }},
+      {"odd length, three markers", Iota(23),
+       [](const Bytes& b) { return Has(b, 0) && Has(b, 9) && Has(b, 22); }},
+      {"long enough", Iota(13), [](const Bytes& b) { return b.size() >= 5; }},
+      {"nothing kept", Iota(10), [](const Bytes&) { return false; }},
+  };
+  bool kept_first = false, kept_second = false, chunk_change = false;
+  bool budget_mid_round = false, one_byte = false, discarded = false;
+  for (const Scenario& sc : scenarios) {
+    for (uint64_t budget = 0; budget <= 40; ++budget) {
+      SCOPED_TRACE(std::string(sc.name) + ", budget " +
+                   std::to_string(budget));
+      ShrinkOutcome one = ShrinkWithFake(sc.input, sc.pred, budget, 1);
+      ShrinkOutcome two = ShrinkWithFake(sc.input, sc.pred, budget, 2);
+      EXPECT_EQ(two.bytes, one.bytes);
+      EXPECT_EQ(two.execs, one.execs);
+      EXPECT_EQ(two.budget_used, one.budget_used);
+      EXPECT_EQ(two.last_kept.ok, one.last_kept.ok);
+      EXPECT_EQ(two.last_kept.execs, one.last_kept.execs);
+      EXPECT_EQ(two.last_kept.features, one.last_kept.features);
+
+      // The one-at-a-time loop counts every run; a round reads its runs up
+      // to the first kept one, and the fake saw the rest run too.
+      uint64_t logged = 0, counted = 0, counted_execs = 0;
+      for (const std::vector<Bytes>& round : two.rounds) {
+        ASSERT_LE(round.size(), 2u);
+        logged += round.size();
+        for (const Bytes& cand : round) {
+          ++counted;
+          counted_execs += 2 + cand.size() % 5;
+          if (sc.pred(cand)) {
+            break;
+          }
+        }
+        if (round.size() == 2) {
+          kept_first |= sc.pred(round[0]);
+          kept_second |= !sc.pred(round[0]) && sc.pred(round[1]);
+          // Both delete from the same bytes: other sizes, other chunks.
+          chunk_change |= round[0].size() != round[1].size();
+        }
+      }
+      EXPECT_EQ(one.rounds.size(), one.budget_used);
+      EXPECT_EQ(counted, two.budget_used);
+      EXPECT_EQ(counted_execs, two.execs);
+      discarded |= logged > counted;
+      one_byte |= two.bytes.size() == 1;
+      budget_mid_round |=
+          !two.rounds.empty() && two.rounds.back().size() == 1 &&
+          two.budget_used == budget &&
+          ShrinkWithFake(sc.input, sc.pred, budget + 1, 1).budget_used > budget;
+    }
+  }
+  EXPECT_TRUE(kept_first);
+  EXPECT_TRUE(kept_second);
+  EXPECT_TRUE(chunk_change);
+  EXPECT_TRUE(budget_mid_round);
+  EXPECT_TRUE(one_byte);
+  EXPECT_TRUE(discarded);
 }
 
 // --- engine determinism ------------------------------------------------------

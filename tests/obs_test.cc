@@ -379,6 +379,23 @@ TEST(TracerTest, ChromeJsonReportsDroppedCount) {
   EXPECT_NE(json.find("\"dropped_events\":4"), std::string::npos);
 }
 
+TEST(TracerTest, OpenSpansStayExactWhenTheRingWraps) {
+  Observability obs(/*trace_capacity=*/4);
+  obs.set_enabled(true);
+  FakeClock clock;
+  {
+    ScopedSpan outer(&obs, clock, "trap", "hvc");
+    for (uint64_t i = 0; i < 6; ++i) {
+      ScopedSpan inner(&obs, clock, "world_switch", "save_el1");
+      obs.tracer().Instant(clock.index(), "gic", "virtual_ack", i);
+    }
+    // 19 events through a 4-slot ring: outer's Begin is long gone.
+    EXPECT_GT(obs.tracer().dropped_events(), 0u);
+    EXPECT_EQ(obs.tracer().open_spans(), 1);
+  }
+  EXPECT_EQ(obs.tracer().open_spans(), 0);
+}
+
 TEST(TracerTest, ClearEmptiesRing) {
   Tracer t(4);
   t.Instant(0, "c", "x", 1);

@@ -90,10 +90,13 @@ run_ubsan() {
 
 # ThreadSanitizer over the code paths that actually run multithreaded: the
 # bench harness's ParallelFor fan-out, obsreport's per-kind fan-out and the
-# stackfuzz worker pool, all pinned to --threads=8 so worker interleavings
-# exist even on small CI machines. Also proves the --threads byte-identity
-# contract on the bench output (a TSan-clean race would still be a
-# determinism bug, and vice versa).
+# stackfuzz campaign, whose batches and two-candidate shrink rounds run on
+# the workers ParallelFor keeps between calls, all pinned to --threads=8 so
+# worker interleavings exist even on small CI machines; and parallel_test,
+# which drives the kept workers from two callers at once and from nested
+# calls. Also proves the --threads byte-identity contract on the bench
+# output (a TSan-clean race would still be a determinism bug, and vice
+# versa).
 run_tsan() {
   local build_dir="$ROOT/build-ci-tsan"
   local runs="${TSAN_FUZZ_RUNS:-300}"
@@ -102,7 +105,7 @@ run_tsan() {
     "-DNEVE_SANITIZE=thread" >/dev/null
   cmake --build "$build_dir" -j "$JOBS" --target \
     table1_micro_v83 fig2_applications smp_hackbench obsreport \
-    stackfuzz mem_test lock_order_test fuzz_test >/dev/null
+    stackfuzz mem_test lock_order_test parallel_test fuzz_test >/dev/null
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"; trap - RETURN' RETURN
@@ -127,11 +130,13 @@ run_tsan() {
     --corpus-out="$tmp/corpus" >/dev/null
   # The stress tests for the lock-free fast paths: eight threads
   # first-touching one PhysMem's page directory, and the lock-order
-  # detector's per-thread edge cache. fuzz_test runs one case's stack
-  # variants on concurrent threads under its own assertions.
-  echo "==> [tsan] mem_test + lock_order_test + fuzz_test"
+  # detector's per-thread edge cache. parallel_test checks the kept
+  # workers; fuzz_test runs one case's stack variants on concurrent threads
+  # under its own assertions.
+  echo "==> [tsan] mem_test + lock_order_test + parallel_test + fuzz_test"
   "$build_dir/tests/mem_test" >/dev/null
   "$build_dir/tests/lock_order_test" >/dev/null
+  "$build_dir/tests/parallel_test" >/dev/null
   "$build_dir/tests/fuzz_test" >/dev/null
   echo "==> [tsan] OK"
 }
