@@ -444,21 +444,58 @@ std::string_view PrecedingIdentifier(std::string_view s, size_t pos) {
   return s.substr(p, e - p);
 }
 
+// The end of the bracketed run that opens at s[pos] (one past its closing
+// bracket), or s.size() when it never closes.
+size_t SkipBracketed(std::string_view s, size_t pos, char open, char close) {
+  int depth = 0;
+  for (size_t p = pos; p < s.size(); ++p) {
+    if (s[p] == open) {
+      ++depth;
+    } else if (s[p] == close && --depth == 0) {
+      return p + 1;
+    }
+  }
+  return s.size();
+}
+
+// The bodies of `SnapFields(...) { ... }` definitions: the field lists of
+// classes whose private fields a snapshot encodes through the class's own
+// hook. A call `x.SnapFields(ar);` has no body and lists nothing.
+std::vector<std::string_view> SnapFieldsBodies(std::string_view s) {
+  std::vector<std::string_view> out;
+  for (size_t pos : FindCalls(s, "SnapFields(")) {
+    size_t p = SkipBracketed(s, s.find('(', pos), '(', ')');
+    while (p < s.size() && std::isspace(static_cast<unsigned char>(s[p]))) {
+      ++p;
+    }
+    if (p < s.size() && s[p] == '{') {
+      out.push_back(s.substr(p, SkipBracketed(s, p, '{', '}') - p));
+    }
+  }
+  return out;
+}
+
 void LintSnapshotCoverage(const std::vector<SourceFile>& files,
                           std::vector<Diagnostic>& d) {
   // Pass 1: every member-style token mentioned anywhere in src/snap counts
   // as covered -- the serializer reads fields to capture them and writes
-  // them to restore, so a mere mention is the right (conservative) signal.
+  // them to restore, so a mere mention is the right (conservative) signal
+  // -- and so does every one named in a SnapFields list, which the
+  // serializer encodes and restores with its class's whole object.
   std::set<std::string> covered;
   bool snap_layer_present = false;
   for (const SourceFile& f : files) {
-    if (f.path.rfind("src/snap/", 0) != 0) {
-      continue;
-    }
-    snap_layer_present = true;
     std::string s = StripCommentsAndLiterals(f.content);
-    for (Token t : MemberTokens(s)) {
-      covered.insert(std::string(s.substr(t.pos, t.len)));
+    const bool in_snap = f.path.rfind("src/snap/", 0) == 0;
+    snap_layer_present = snap_layer_present || in_snap;
+    std::vector<std::string_view> lists = SnapFieldsBodies(s);
+    if (in_snap) {
+      lists.push_back(s);
+    }
+    for (std::string_view list : lists) {
+      for (Token t : MemberTokens(list)) {
+        covered.insert(std::string(list.substr(t.pos, t.len)));
+      }
     }
   }
   if (!snap_layer_present) {

@@ -38,7 +38,11 @@
 //                         a `member_`-style field declared in a header under
 //                         src/cpu, src/hyp, src/gic, src/mem or src/timer
 //                         must either be mentioned in src/snap (serialized,
-//                         reconstructed or structurally verified) or carry a
+//                         reconstructed or structurally verified), be named
+//                         in the body of a `SnapFields(...) { ... }` field
+//                         list (a class whose object the serializer copies
+//                         whole and encodes through that list; a call
+//                         `x.SnapFields(ar);` lists nothing), or carry a
 //                         `// not-snapshotted: <why>` annotation on the
 //                         declaration line or the two lines above; Mutex
 //                         members are exempt (host-side synchronization).

@@ -82,6 +82,8 @@ struct Syndrome {
   // kIrq: the interrupt id pending at the time of the exit.
   uint32_t intid = 0;
 
+  bool operator==(const Syndrome&) const = default;
+
   static Syndrome Hvc(uint16_t imm) {
     Syndrome s;
     s.ec = Ec::kHvc64;

@@ -18,6 +18,7 @@
 #define NEVE_SRC_CPU_CPU_H_
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -320,17 +321,20 @@ class Cpu {
   ResolutionCache& resolution_cache() { return rcache_; }
   const ResolutionCache& resolution_cache() const { return rcache_; }
 
- private:
+  // A TLB entry and its key; a snapshot carries the TLB as sorted pairs.
   struct TlbEntry {
     uint64_t pa_page = 0;
     bool writable = false;
+    bool operator==(const TlbEntry&) const = default;
   };
   struct TlbKey {
     uint64_t va_page;
     uint64_t s1_root;
     uint64_t s2_root;
-    bool operator==(const TlbKey&) const = default;
+    auto operator<=>(const TlbKey&) const = default;
   };
+
+ private:
   struct TlbKeyHash {
     size_t operator()(const TlbKey& k) const {
       return std::hash<uint64_t>()(k.va_page * 0x9E3779B97F4A7C15ull ^
@@ -469,7 +473,7 @@ class Cpu {
   // after the register file is applied.
   ResolutionCache rcache_;
   uint64_t regs_[kNumRegIds] = {};
-  CpuTrace trace_;
+  CpuTrace trace_;  // single-mutator: snap restore runs quiesced
   // single-mutator: snap restore rebuilds the TLB while quiesced
   std::unordered_map<TlbKey, TlbEntry, TlbKeyHash> tlb_;
   int trap_depth_ = 0;  // verified structurally on snapshot apply

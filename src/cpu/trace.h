@@ -17,14 +17,31 @@
 
 namespace neve {
 
-namespace snap {
-class Serializer;  // src/snap: serializes counters and recorded traps
-}  // namespace snap
-
 struct TrapRecord {
   uint64_t sequence = 0;  // monotonically increasing per CPU
   Syndrome syndrome;
   uint64_t cycles_at_entry = 0;
+
+  bool operator==(const TrapRecord&) const = default;
+
+  // The fields a snapshot carries, in wire order (src/snap/wire.h's Writer
+  // or Reader). Syndrome's are named here: a trap record is the only
+  // snapshotted place that holds one.
+  template <class Ar>
+  void SnapFields(Ar& ar) {
+    ar.U64(sequence);
+    ar.U8(syndrome.ec);
+    ar.U32(syndrome.imm16);
+    ar.U32(syndrome.sysreg);
+    ar.U8(syndrome.is_write);
+    ar.U64(syndrome.write_value);
+    ar.U64(syndrome.far);
+    ar.U64(syndrome.hpfar);
+    ar.U8(syndrome.abort_is_write);
+    ar.U8(syndrome.access_size);
+    ar.U32(syndrome.intid);
+    ar.U64(cycles_at_entry);
+  }
 };
 
 class CpuTrace {
@@ -104,8 +121,6 @@ class CpuTrace {
   std::string AttributionReport() const;
 
  private:
-  friend class snap::Serializer;
-
   static constexpr int kNumClasses = 6;
   static int ClassIndex(Ec ec) {
     switch (ec) {
@@ -126,13 +141,32 @@ class CpuTrace {
     }
   }
 
-  bool record_details_ = false;  // single-mutator: snap restore
-  uint64_t traps_to_el2_ = 0;  // single-mutator: snap restore
-  uint64_t hvc_traps_ = 0;  // single-mutator: snap restore
-  uint64_t sysreg_traps_ = 0;  // single-mutator: snap restore
-  uint64_t eret_traps_ = 0;  // single-mutator: snap restore
-  uint64_t abort_traps_ = 0;  // single-mutator: snap restore
-  uint64_t irq_exits_ = 0;  // single-mutator: snap restore
+ public:
+  bool operator==(const CpuTrace&) const = default;
+
+  // Every field, in wire order: a snapshot copies a CpuTrace whole and
+  // encodes it through this list.
+  template <class Ar>
+  void SnapFields(Ar& ar) {
+    ar.U8(record_details_);
+    ar.U64(traps_to_el2_);
+    ar.U64(hvc_traps_);
+    ar.U64(sysreg_traps_);
+    ar.U64(eret_traps_);
+    ar.U64(abort_traps_);
+    ar.U64(irq_exits_);
+    ar.Vec(records_, 8 + 42 + 8, [&ar](TrapRecord& r) { r.SnapFields(ar); });
+    ar.Vec(cycles_by_class_, 8, [&ar](uint64_t& c) { ar.U64(c); });
+  }
+
+ private:
+  bool record_details_ = false;
+  uint64_t traps_to_el2_ = 0;
+  uint64_t hvc_traps_ = 0;
+  uint64_t sysreg_traps_ = 0;
+  uint64_t eret_traps_ = 0;
+  uint64_t abort_traps_ = 0;
+  uint64_t irq_exits_ = 0;
   std::vector<TrapRecord> records_;
   std::array<uint64_t, kNumClasses> cycles_by_class_ = {};
 };

@@ -111,6 +111,8 @@ struct InjectionRecord {
   // contract compares that string across configurations that may differ only
   // in attribution wiring.
   uint64_t attr_key = kNoAttrKey;
+
+  bool operator==(const InjectionRecord&) const = default;
 };
 
 class FaultInjector {

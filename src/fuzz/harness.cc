@@ -731,115 +731,54 @@ bool TakeViolations(const RunResult& r, CaseResult* out) {
   return true;
 }
 
-bool CompareCachePair(const RunResult& on, const RunResult& off,
-                      const std::string& tag, CaseResult* out) {
-  auto fail = [&](const std::string& what) {
-    out->ok = false;
-    out->failure = "cache-diff[" + tag + "]: " + what;
-    return true;
-  };
-  if (on.end_cycles != off.end_cycles) {
-    return fail("cycles " + std::to_string(on.end_cycles) + " vs " +
-                std::to_string(off.end_cycles));
-  }
-  if (on.traps != off.traps) {
-    return fail("traps " + std::to_string(on.traps) + " vs " +
-                std::to_string(off.traps));
-  }
-  if (!(on.status == off.status)) {
-    return fail("status " + on.status.ToString() + " vs " +
-                off.status.ToString());
-  }
-  if (on.fault_log != off.fault_log) {
-    return fail("fault log diverged:\n--- cache on ---\n" + on.fault_log +
-                "--- cache off ---\n" + off.fault_log);
-  }
-  if (on.full_digest != off.full_digest) {
-    return fail("state digest " + Hex(on.full_digest) + " vs " +
-                Hex(off.full_digest));
-  }
-  return false;
-}
+// A byte-identity oracle over two runs of one architecture that must not
+// differ at all: the resolution cache, the superblock engine and a
+// checkpoint/restore split are simulator machinery, invisible to the guest
+// -- ops, cycles, traps, outcome, fault log and both digests included.
+struct IdentityOracle {
+  const char* name;  // the failure prefix
+  const char* a;     // the two sides, as the fault-log diff labels them
+  const char* b;
+};
+constexpr IdentityOracle kCacheDiff{"cache-diff", "cache on", "cache off"};
+constexpr IdentityOracle kBatchDiff{"batch-diff", "interpreted", "batched"};
+constexpr IdentityOracle kSnapDiff{"snap-diff", "uninterrupted", "restored"};
 
-// Byte-identity of a batched run against the interpreted run of the same
-// architecture: the superblock engine is a simulator fast path (like the
-// resolution cache) and must be invisible -- cycles, traps, outcome, fault
-// log and the full per-op digest included.
-bool CompareBatchPair(const RunResult& interp, const RunResult& batched,
-                      const std::string& tag, CaseResult* out) {
+bool CompareIdentical(const IdentityOracle& o, const RunResult& a,
+                      const RunResult& b, const std::string& tag,
+                      CaseResult* out) {
   auto fail = [&](const std::string& what) {
     out->ok = false;
-    out->failure = "batch-diff[" + tag + "]: " + what;
+    out->failure = std::string(o.name) + "[" + tag + "]: " + what;
     return true;
   };
-  if (interp.ops_executed != batched.ops_executed) {
-    return fail("ops " + std::to_string(interp.ops_executed) + " vs " +
-                std::to_string(batched.ops_executed));
+  if (a.ops_executed != b.ops_executed) {
+    return fail("ops " + std::to_string(a.ops_executed) + " vs " +
+                std::to_string(b.ops_executed));
   }
-  if (interp.end_cycles != batched.end_cycles) {
-    return fail("cycles " + std::to_string(interp.end_cycles) + " vs " +
-                std::to_string(batched.end_cycles));
+  if (a.end_cycles != b.end_cycles) {
+    return fail("cycles " + std::to_string(a.end_cycles) + " vs " +
+                std::to_string(b.end_cycles));
   }
-  if (interp.traps != batched.traps) {
-    return fail("traps " + std::to_string(interp.traps) + " vs " +
-                std::to_string(batched.traps));
+  if (a.traps != b.traps) {
+    return fail("traps " + std::to_string(a.traps) + " vs " +
+                std::to_string(b.traps));
   }
-  if (!(interp.status == batched.status)) {
-    return fail("status " + interp.status.ToString() + " vs " +
-                batched.status.ToString());
+  if (!(a.status == b.status)) {
+    return fail("status " + a.status.ToString() + " vs " +
+                b.status.ToString());
   }
-  if (interp.fault_log != batched.fault_log) {
-    return fail("fault log diverged:\n--- interpreted ---\n" +
-                interp.fault_log + "--- batched ---\n" + batched.fault_log);
+  if (a.fault_log != b.fault_log) {
+    return fail("fault log diverged:\n--- " + std::string(o.a) + " ---\n" +
+                a.fault_log + "--- " + o.b + " ---\n" + b.fault_log);
   }
-  if (interp.full_digest != batched.full_digest) {
-    return fail("state digest " + Hex(interp.full_digest) + " vs " +
-                Hex(batched.full_digest));
+  if (a.full_digest != b.full_digest) {
+    return fail("state digest " + Hex(a.full_digest) + " vs " +
+                Hex(b.full_digest));
   }
-  if (interp.arch_digest != batched.arch_digest) {
-    return fail("guest-visible state " + Hex(interp.arch_digest) + " vs " +
-                Hex(batched.arch_digest));
-  }
-  return false;
-}
-
-// Byte-identity of a checkpoint/restore split against the uninterrupted run
-// of the same architecture: every digest and counter must match -- a
-// snapshot cycle is host machinery and must be invisible to the guest.
-bool CompareSnapPair(const RunResult& base, const RunResult& snap,
-                     const std::string& tag, CaseResult* out) {
-  auto fail = [&](const std::string& what) {
-    out->ok = false;
-    out->failure = "snap-diff[" + tag + "]: " + what;
-    return true;
-  };
-  if (base.ops_executed != snap.ops_executed) {
-    return fail("ops " + std::to_string(base.ops_executed) + " vs " +
-                std::to_string(snap.ops_executed));
-  }
-  if (!(base.status == snap.status)) {
-    return fail("status " + base.status.ToString() + " vs " +
-                snap.status.ToString());
-  }
-  if (base.end_cycles != snap.end_cycles) {
-    return fail("cycles " + std::to_string(base.end_cycles) + " vs " +
-                std::to_string(snap.end_cycles));
-  }
-  if (base.traps != snap.traps) {
-    return fail("traps " + std::to_string(base.traps) + " vs " +
-                std::to_string(snap.traps));
-  }
-  if (base.fault_log != snap.fault_log) {
-    return fail("fault log diverged:\n--- uninterrupted ---\n" +
-                base.fault_log + "--- restored ---\n" + snap.fault_log);
-  }
-  if (base.full_digest != snap.full_digest) {
-    return fail("state digest " + Hex(base.full_digest) + " vs " +
-                Hex(snap.full_digest));
-  }
-  if (base.arch_digest != snap.arch_digest) {
-    return fail("guest-visible state " + Hex(base.arch_digest) + " vs " +
-                Hex(snap.arch_digest));
+  if (a.arch_digest != b.arch_digest) {
+    return fail("guest-visible state " + Hex(a.arch_digest) + " vs " +
+                Hex(b.arch_digest));
   }
   return false;
 }
@@ -913,7 +852,7 @@ CaseResult Judge(const Program& p, const std::vector<RunResult>& runs) {
   if (p.cfg.fault) {
     out.execs = 2;
     AppendFeatures(runs[0], &out);
-    CompareCachePair(runs[0], runs[1],
+    CompareIdentical(kCacheDiff, runs[0], runs[1],
                      p.cfg.fault_neve ? "neve,fault" : "v83,fault", &out);
     return out;
   }
@@ -930,8 +869,8 @@ CaseResult Judge(const Program& p, const std::vector<RunResult>& runs) {
   if (TakeViolations(v83_on, &out) || TakeViolations(nv_on, &out)) {
     return out;
   }
-  if (CompareCachePair(v83_on, v83_off, "v83", &out) ||
-      CompareCachePair(nv_on, nv_off, "neve", &out)) {
+  if (CompareIdentical(kCacheDiff, v83_on, v83_off, "v83", &out) ||
+      CompareIdentical(kCacheDiff, nv_on, nv_off, "neve", &out)) {
     return out;
   }
   if (CompareCrossArch(v83_on, nv_on, &out)) {
@@ -945,8 +884,8 @@ CaseResult Judge(const Program& p, const std::vector<RunResult>& runs) {
     if (TakeViolations(v83_b, &out) || TakeViolations(nv_b, &out)) {
       return out;
     }
-    if (CompareBatchPair(v83_on, v83_b, "v83", &out) ||
-        CompareBatchPair(nv_on, nv_b, "neve", &out)) {
+    if (CompareIdentical(kBatchDiff, v83_on, v83_b, "v83", &out) ||
+        CompareIdentical(kBatchDiff, nv_on, nv_b, "neve", &out)) {
       return out;
     }
   }
@@ -958,8 +897,8 @@ CaseResult Judge(const Program& p, const std::vector<RunResult>& runs) {
     if (TakeViolations(v83_snap, &out) || TakeViolations(nv_snap, &out)) {
       return out;
     }
-    if (CompareSnapPair(v83_on, v83_snap, "v83", &out) ||
-        CompareSnapPair(nv_on, nv_snap, "neve", &out)) {
+    if (CompareIdentical(kSnapDiff, v83_on, v83_snap, "v83", &out) ||
+        CompareIdentical(kSnapDiff, nv_on, nv_snap, "neve", &out)) {
       return out;
     }
   }

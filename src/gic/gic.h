@@ -130,19 +130,21 @@ class GicV3 : public GicCpuInterface {
   uint64_t virtual_acks() const { return SumShards(virtual_acks_); }
   uint64_t virtual_eois() const { return SumShards(virtual_eois_); }
 
- private:
   static constexpr int kNumListRegs = 4;
 
   // Virtual-ack bookkeeping per (cpu, list register): when the matching EOI
   // arrives, the ack-to-EOI distance feeds the
   // "gic.virtual_irq_active_cycles" histogram, with the ack's tracer event id
   // as the bucket exemplar (histogram outlier -> the trace event behind it).
+  // A snapshot carries each CPU's row whole.
   struct LrAckInfo {
     uint64_t ack_cycles = 0;
     uint64_t ack_trace_id = 0;
     bool valid = false;
+    bool operator==(const LrAckInfo&) const = default;
   };
 
+ private:
   Cpu& CpuRef(int cpu);
 
   // Highest-priority pending list register (lowest intid wins), or -1.
@@ -163,6 +165,7 @@ class GicV3 : public GicCpuInterface {
   // Indexed by CPU: each entry is only touched through that CPU's own ICC
   // interface, so two vCPU lanes never share a slot (the SMP-safety shape
   // the per-CPU ack/EOI shards below follow too).
+  // single-mutator: snap restore runs quiesced
   std::vector<std::array<LrAckInfo, kNumListRegs>> ack_info_;
   PhysIrqSink sink_;                // not-snapshotted: host wiring
   Observability* obs_ = nullptr;    // not-snapshotted: host wiring

@@ -35,27 +35,33 @@ class TestDevice : public MmioDevice {
 
   uint64_t MmioRead(Cpu& cpu, uint64_t offset) override {
     cpu.Compute(emulation_cycles_);
-    ++reads_;
+    ++state_.reads;
     return 0xD0D0'0000 | (offset & 0xFFFF);
   }
   void MmioWrite(Cpu& cpu, uint64_t offset, uint64_t value) override {
     cpu.Compute(emulation_cycles_);
-    ++writes_;
-    last_write_ = value;
+    ++state_.writes;
+    state_.last_write = value;
     (void)offset;
   }
 
-  uint64_t reads() const { return reads_; }
-  uint64_t writes() const { return writes_; }
-  uint64_t last_write() const { return last_write_; }
+  uint64_t reads() const { return state_.reads; }
+  uint64_t writes() const { return state_.writes; }
+  uint64_t last_write() const { return state_.last_write; }
+
+  // The counters, which a snapshot carries whole (src/snap).
+  struct State {
+    uint64_t reads = 0;
+    uint64_t writes = 0;
+    uint64_t last_write = 0;
+    bool operator==(const State&) const = default;
+  };
 
  private:
   friend class snap::Serializer;
 
   uint32_t emulation_cycles_;  // not-snapshotted: fixed at construction
-  uint64_t reads_ = 0;
-  uint64_t writes_ = 0;
-  uint64_t last_write_ = 0;
+  State state_;  // single-mutator: snap restore runs quiesced
 };
 
 }  // namespace neve

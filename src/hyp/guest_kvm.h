@@ -104,12 +104,28 @@ class GuestKvm : public Vel2Handler {
   // emulated by this hypervisor).
   void SetMmioBackend(MmioDevice* device) { mmio_backend_ = device; }
 
- private:
-  struct PvcpuState {
-    Vcpu* running = nullptr;    // nested vcpu loaded on this virtual CPU
-    El1Context kernel_el1;      // kernel context (non-VHE split design)
+  // The contexts a snapshot carries (src/snap). PvcpuState adds the nested
+  // vcpu loaded on the virtual CPU, which a restore verifies instead;
+  // NestedVcpuState adds the recursive-nesting state, which a snapshot
+  // refuses while it is live.
+  struct PvcpuContext {
+    El1Context kernel_el1;  // kernel context (non-VHE split design)
     ExtEl1Context kernel_ext;
     TimerContext timer;
+    bool operator==(const PvcpuContext&) const = default;
+  };
+  struct NestedContext {
+    El1Context el1;  // the nested VM's EL1 context
+    ExtEl1Context ext;
+    PmuDebugContext pmu;
+    uint64_t elr = 0;
+    uint64_t spsr = 0;
+    bool operator==(const NestedContext&) const = default;
+  };
+
+ private:
+  struct PvcpuState : PvcpuContext {
+    Vcpu* running = nullptr;  // nested vcpu loaded on this virtual CPU
   };
 
   // Virtual-virtual EL2 state for a nested vCPU that is itself a
@@ -124,12 +140,7 @@ class GuestKvm : public Vel2Handler {
     bool has_page = false;
   };
 
-  struct NestedVcpuState {
-    El1Context el1;             // the nested VM's EL1 context
-    ExtEl1Context ext;
-    PmuDebugContext pmu;
-    uint64_t elr = 0;
-    uint64_t spsr = 0;
+  struct NestedVcpuState : NestedContext {
     std::unique_ptr<RecState> rec;  // set when the guest is a hypervisor
   };
 

@@ -485,7 +485,7 @@ void HostKvm::CheckpointVm(Vm& vm) {
     if (page < ram_first || page > ram_last) {
       continue;
     }
-    VmCheckpointPage p;
+    PageCopy p;
     p.page_index = page;
     mem.ReadPage(page, &p.data);
     cp.ram_pages.push_back(std::move(p));
@@ -499,7 +499,7 @@ void HostKvm::CheckpointVm(Vm& vm) {
     cp.vregs.push_back(regs);
     cp.host_state.push_back(HostStateOf(vcpu));
     if (vcpu.vncr_hw_page.value != 0) {
-      VmCheckpointPage p;
+      PageCopy p;
       p.page_index = vcpu.vncr_hw_page.PageIndex();
       mem.ReadPage(p.page_index, &p.data);
       cp.vncr_pages.push_back(std::move(p));
@@ -537,7 +537,7 @@ void HostKvm::RestartVm(Vm& vm) {
         mem.DropPage(page);
       }
     }
-    for (const VmCheckpointPage& p : cp.ram_pages) {
+    for (const PageCopy& p : cp.ram_pages) {
       mem.WritePage(p.page_index, p.data.data());
     }
     for (int i = 0; i < vm.num_vcpus(); ++i) {
@@ -550,7 +550,7 @@ void HostKvm::RestartVm(Vm& vm) {
         *it->second = cp.host_state[i];
       }
     }
-    for (const VmCheckpointPage& p : cp.vncr_pages) {
+    for (const PageCopy& p : cp.vncr_pages) {
       mem.WritePage(p.page_index, p.data.data());
     }
     if (Observability& obs = machine_->obs(); ObsActive(&obs)) {

@@ -111,14 +111,15 @@ class HostKvm : public El2Host {
   // The vCPU currently loaded on a physical CPU (nullptr when idle).
   Vcpu* LoadedVcpu(int pcpu) { return pcpu_.at(pcpu).current; }
 
- private:
-  struct PcpuState {
-    Vcpu* current = nullptr;
+  // The per-pcpu context a snapshot carries (src/snap); PcpuState adds the
+  // loaded vCPU, which a restore verifies instead.
+  struct PcpuContext {
     bool guest_loaded = false;  // guest register state on the hardware
     int lrs_loaded = 0;         // list registers programmed for this run
     El1Context host_el1;        // host kernel EL1 context (non-VHE only)
     ExtEl1Context host_ext;
     PmuDebugContext host_pmu;
+    bool operator==(const PcpuContext&) const = default;
   };
 
   // L0-side per-vcpu nested/context state.
@@ -131,6 +132,12 @@ class HostKvm : public El2Host {
     uint64_t spsr = 0;
     TimerContext timer;
     uint64_t cntvoff = 0;
+    bool operator==(const VcpuHostState&) const = default;
+  };
+
+ private:
+  struct PcpuState : PcpuContext {
+    Vcpu* current = nullptr;
   };
 
   VcpuHostState& HostStateOf(Vcpu& vcpu);
@@ -195,15 +202,11 @@ class HostKvm : public El2Host {
   Status ConfineGuestFault(Cpu& cpu, Vcpu& vcpu, const GuestFaultException& e);
 
   // --- restart checkpoints --------------------------------------------------
-  struct VmCheckpointPage {
-    uint64_t page_index = 0;
-    std::array<uint8_t, kPageSize> data;
-  };
   struct VmCheckpoint {
-    std::vector<VmCheckpointPage> ram_pages;  // resident pages, VM RAM range
+    std::vector<PageCopy> ram_pages;  // resident pages, VM RAM range
     std::vector<std::array<uint64_t, kNumRegIds>> vregs;  // per vcpu
     std::vector<VcpuHostState> host_state;                // per vcpu
-    std::vector<VmCheckpointPage> vncr_pages;  // per NEVE vcpu's deferred page
+    std::vector<PageCopy> vncr_pages;  // per NEVE vcpu's deferred page
   };
 
   friend class snap::Serializer;

@@ -37,13 +37,13 @@ void VirtioBackend::MmioWrite(Cpu& cpu, uint64_t offset, uint64_t value) {
   (void)offset;
   (void)value;
   MutexLock lock(ring_mu_);
-  ++kicks_;
+  ++state_.kicks;
   ScopedSpan span(cpu.obs(), cpu, "virtio", "kick");
   if (ObsActive(cpu.obs())) {
     cpu.obs()->metrics().Counter("virtio.kicks").Add(1);
   }
   cpu.Compute(SwCost::kMmioDispatch);
-  busy_until_ = std::max(busy_until_, cpu.cycles());
+  state_.busy_until = std::max(state_.busy_until, cpu.cycles());
   // Busy window opens: suppress further notifications ("while the backend
   // driver is busy, it tells the frontend it can continue to send packets
   // without further notification", section 7.2).
@@ -54,7 +54,7 @@ void VirtioBackend::MmioWrite(Cpu& cpu, uint64_t offset, uint64_t value) {
   // than the queue can hold. The frontend's ReapUsed detects it.
   if (FaultActive(fault_) &&
       fault_->ShouldInject(FaultPoint::kVirtioRingCorruption, cpu.index(),
-                           cpu.cycles(), kicks_)) {
+                           cpu.cycles(), state_.kicks)) {
     Write(L::kUsedIdx, Read(L::kUsedIdx) + L::kQueueSize + 7);
   }
 }
@@ -70,21 +70,21 @@ int VirtioBackend::ProcessAvailLocked(Cpu& cpu) {
   uint64_t used = Read(L::kUsedIdx);
   // The ring lives in guest memory: an avail.idx further ahead than the
   // queue size is guest corruption, not a backend bug.
-  NEVE_GUEST_CHECK(avail - last_avail_ <= L::kQueueSize, "virtio_ring",
+  NEVE_GUEST_CHECK(avail - state_.last_avail <= L::kQueueSize, "virtio_ring",
                    "virtio avail.idx ran past the queue size");
   int processed = 0;
-  while (last_avail_ < avail) {
-    int slot = static_cast<int>(last_avail_ % L::kQueueSize);
+  while (state_.last_avail < avail) {
+    int slot = static_cast<int>(state_.last_avail % L::kQueueSize);
     uint64_t desc = Read(L::AvailSlot(slot));
     (void)Read(L::DescLen(static_cast<int>(desc % L::kQueueSize)));
-    busy_until_ += per_buffer_cycles_;
+    state_.busy_until += per_buffer_cycles_;
     Write(L::UsedSlot(static_cast<int>(used % L::kQueueSize)), desc);
     ++used;
-    ++last_avail_;
+    ++state_.last_avail;
     ++processed;
   }
   Write(L::kUsedIdx, used);
-  buffers_processed_ += processed;
+  state_.buffers_processed += processed;
   if (processed > 0 && ObsActive(cpu.obs())) {
     cpu.obs()->metrics().Counter("virtio.buffers_processed").Add(processed);
   }
@@ -96,11 +96,11 @@ void VirtioBackend::Poll(uint64_t now_cycles) {
   // posted without a kick, and -- "only once the backend driver has nothing
   // left to do" -- re-enable notifications.
   MutexLock lock(ring_mu_);
-  if (Read(L::kAvailIdx) > last_avail_) {
-    busy_until_ = std::max(busy_until_, now_cycles);
+  if (Read(L::kAvailIdx) > state_.last_avail) {
+    state_.busy_until = std::max(state_.busy_until, now_cycles);
     ProcessAvailOnThread();
   }
-  if (now_cycles >= busy_until_) {
+  if (now_cycles >= state_.busy_until) {
     Write(L::kUsedFlags, 0);
   }
 }
@@ -108,16 +108,16 @@ void VirtioBackend::Poll(uint64_t now_cycles) {
 void VirtioBackend::ProcessAvailOnThread() {
   uint64_t avail = Read(L::kAvailIdx);
   uint64_t used = Read(L::kUsedIdx);
-  NEVE_GUEST_CHECK(avail - last_avail_ <= L::kQueueSize, "virtio_ring",
+  NEVE_GUEST_CHECK(avail - state_.last_avail <= L::kQueueSize, "virtio_ring",
                    "virtio avail.idx ran past the queue size");
-  while (last_avail_ < avail) {
-    int slot = static_cast<int>(last_avail_ % L::kQueueSize);
+  while (state_.last_avail < avail) {
+    int slot = static_cast<int>(state_.last_avail % L::kQueueSize);
     uint64_t desc = Read(L::AvailSlot(slot));
-    busy_until_ += per_buffer_cycles_;
+    state_.busy_until += per_buffer_cycles_;
     Write(L::UsedSlot(static_cast<int>(used % L::kQueueSize)), desc);
     ++used;
-    ++last_avail_;
-    ++buffers_processed_;
+    ++state_.last_avail;
+    ++state_.buffers_processed;
   }
   Write(L::kUsedIdx, used);
 }
@@ -133,29 +133,28 @@ void VirtioDriver::Init(GuestEnv& env) {
   env.Store(Va(base_.value + L::kAvailIdx), 0);
   env.Store(Va(base_.value + L::kUsedIdx), 0);
   env.Store(Va(base_.value + L::kUsedFlags), 0);
-  avail_idx_ = 0;
-  last_used_ = 0;
-  next_desc_ = 0;
+  state_.avail_idx = 0;
+  state_.last_used = 0;
+  state_.next_desc = 0;
 }
 
 bool VirtioDriver::SendBuffer(GuestEnv& env, uint64_t addr, uint64_t len) {
-  int desc = next_desc_;
-  next_desc_ = (next_desc_ + 1) % L::kQueueSize;
+  int desc = state_.next_desc;
+  state_.next_desc = (state_.next_desc + 1) % L::kQueueSize;
   env.Store(Va(base_.value + L::DescAddr(desc)), addr);
   env.Store(Va(base_.value + L::DescLen(desc)), len);
-  env.Store(Va(base_.value + L::AvailSlot(
-                                static_cast<int>(avail_idx_ % L::kQueueSize))),
-            static_cast<uint64_t>(desc));
-  ++avail_idx_;
-  env.Store(Va(base_.value + L::kAvailIdx), avail_idx_);
-  ++posts_;
+  const int slot = static_cast<int>(state_.avail_idx % L::kQueueSize);
+  env.Store(Va(base_.value + L::AvailSlot(slot)), static_cast<uint64_t>(desc));
+  ++state_.avail_idx;
+  env.Store(Va(base_.value + L::kAvailIdx), state_.avail_idx);
+  ++state_.posts;
 
   // The notification decision: kick only when the backend asked for it.
   uint64_t flags = env.Load(Va(base_.value + L::kUsedFlags));
   if ((flags & L::kNoNotify) != 0) {
     return false;  // backend is busy; it will see our buffer on its own
   }
-  ++kicks_sent_;
+  ++state_.kicks_sent;
   env.Store(doorbell_, 1);  // MMIO: exits to the device's owner
   return true;
 }
@@ -166,13 +165,13 @@ int VirtioDriver::ReapUsed(GuestEnv& env) {
   // come from a well-behaved backend: the ring is torn (e.g. an injected
   // kVirtioRingCorruption). A real driver BUG()s here; the VM dies, the
   // machine does not.
-  NEVE_GUEST_CHECK(used - last_used_ <= L::kQueueSize, "virtio_ring",
+  NEVE_GUEST_CHECK(used - state_.last_used <= L::kQueueSize, "virtio_ring",
                    "virtio used.idx ran past the queue size (torn ring)");
   int reaped = 0;
-  while (last_used_ < used) {
-    (void)env.Load(Va(base_.value +
-                      L::UsedSlot(static_cast<int>(last_used_ % L::kQueueSize))));
-    ++last_used_;
+  while (state_.last_used < used) {
+    const int slot = static_cast<int>(state_.last_used % L::kQueueSize);
+    (void)env.Load(Va(base_.value + L::UsedSlot(slot)));
+    ++state_.last_used;
     ++reaped;
   }
   return reaped;

@@ -94,7 +94,7 @@ class VirtioBackend : public MmioDevice {
   // arriving before this need no kick.
   bool BusyAt(uint64_t now_cycles) const EXCLUDES(ring_mu_) {
     MutexLock lock(ring_mu_);
-    return now_cycles < busy_until_;
+    return now_cycles < state_.busy_until;
   }
 
   // Machine-wide fault injector (kVirtioRingCorruption: a kick may tear the
@@ -103,16 +103,26 @@ class VirtioBackend : public MmioDevice {
 
   uint64_t kicks() const EXCLUDES(ring_mu_) {
     MutexLock lock(ring_mu_);
-    return kicks_;
+    return state_.kicks;
   }
   uint64_t buffers_processed() const EXCLUDES(ring_mu_) {
     MutexLock lock(ring_mu_);
-    return buffers_processed_;
+    return state_.buffers_processed;
   }
   uint64_t busy_until() const EXCLUDES(ring_mu_) {
     MutexLock lock(ring_mu_);
-    return busy_until_;
+    return state_.busy_until;
   }
+
+  // The ring cursor and work clock, which a snapshot carries whole
+  // (src/snap).
+  struct State {
+    uint64_t last_avail = 0;
+    uint64_t busy_until = 0;
+    uint64_t kicks = 0;
+    uint64_t buffers_processed = 0;
+    bool operator==(const State&) const = default;
+  };
 
  private:
   uint64_t Read(uint64_t off) const {
@@ -136,10 +146,7 @@ class VirtioBackend : public MmioDevice {
   // single mutator). The ring *contents* live in guest memory and follow
   // the guest's own memory model, not this lock.
   mutable Mutex ring_mu_{"hyp.virtio_ring"};
-  uint64_t last_avail_ GUARDED_BY(ring_mu_) = 0;
-  uint64_t busy_until_ GUARDED_BY(ring_mu_) = 0;
-  uint64_t kicks_ GUARDED_BY(ring_mu_) = 0;
-  uint64_t buffers_processed_ GUARDED_BY(ring_mu_) = 0;
+  State state_ GUARDED_BY(ring_mu_);
 };
 
 // Frontend half: the guest's driver. All ring traffic goes through the
@@ -161,19 +168,26 @@ class VirtioDriver {
   // Reaps completed buffers from the used ring; returns how many.
   int ReapUsed(GuestEnv& env);
 
-  uint64_t kicks_sent() const { return kicks_sent_; }
-  uint64_t posts() const { return posts_; }
+  uint64_t kicks_sent() const { return state_.kicks_sent; }
+  uint64_t posts() const { return state_.posts; }
+
+  // The ring cursors and counters, which a snapshot carries whole
+  // (src/snap).
+  struct State {
+    uint64_t avail_idx = 0;
+    uint64_t last_used = 0;
+    int next_desc = 0;
+    uint64_t kicks_sent = 0;
+    uint64_t posts = 0;
+    bool operator==(const State&) const = default;
+  };
 
  private:
   friend class snap::Serializer;
 
   Va base_;      // not-snapshotted: fixed at construction, verified
   Va doorbell_;  // not-snapshotted: fixed at construction, verified
-  uint64_t avail_idx_ = 0;
-  uint64_t last_used_ = 0;
-  int next_desc_ = 0;
-  uint64_t kicks_sent_ = 0;
-  uint64_t posts_ = 0;
+  State state_;  // single-mutator: snap restore runs quiesced
 };
 
 }  // namespace neve

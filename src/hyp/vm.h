@@ -47,6 +47,8 @@ struct VmConfig {
   // a VHE guest's EL1-encoded accesses target its own (virtual EL2) context
   // directly; a non-VHE guest's EL1 accesses are VM state and must trap.
   bool guest_vhe = false;
+
+  bool operator==(const VmConfig&) const = default;
 };
 
 // Which software context a vCPU is executing, from its hypervisor's view.
@@ -86,7 +88,48 @@ struct MmioRange {
 
 class Vm;
 
-class Vcpu {
+// The plain run-time values a hypervisor keeps per vCPU. A snapshot copies
+// them as one struct (src/snap); Vcpu inherits them, so use sites name them
+// directly.
+struct VcpuRunState {
+  VcpuMode mode = VcpuMode::kGuest;
+  bool vel2_handler_active = false;  // virtual-EL2 vector currently running
+  bool parked = false;               // left "running" by ParkRunning()
+  int loaded_on_pcpu = -1;
+
+  // Recursive nesting: the currently-entered nested context is itself a
+  // hypervisor (the guest hypervisor programmed NV for it); `nested_hcr`
+  // holds the virtual HCR bits the host mirrors into hardware.
+  bool nested_is_hyp = false;
+  uint64_t nested_hcr = 0;
+
+  // A scheduled deferred vector call (Vcpu::deferred_vector) is running.
+  bool deferred_vector_active = false;
+  // Set by a guest hypervisor that fixed up translation state for a
+  // forwarded Stage-2 fault: the host replays the access instead of
+  // completing it as MMIO.
+  bool mmio_retry = false;
+
+  // Monotonic count of virtual interrupts ever *newly* enqueued for this
+  // vCPU (re-queues on context switch do not count). SMP rendezvous
+  // predicates read it: unlike pending_virq's size it never decreases, so
+  // "my sibling sent round N's IPI" stays observable after delivery.
+  // Cross-lane writes go through the SMP engine's deferred merge (or stay
+  // on the single cooperative thread), hence no lock.
+  uint64_t virqs_enqueued = 0;
+
+  // Result slot for a forwarded MMIO read completed by the guest hypervisor
+  // (the architectural x0 of the faulting load).
+  uint64_t mmio_result = 0;
+
+  // Statistics.
+  uint64_t exits = 0;
+  uint64_t vel2_deliveries = 0;
+
+  bool operator==(const VcpuRunState&) const = default;
+};
+
+class Vcpu : public VcpuRunState {
  public:
   Vcpu(Vm* vm, int id) : vm_(vm), id_(id) {}
 
@@ -109,22 +152,6 @@ class Vcpu {
   }
 
   // --- public state, managed by the owning hypervisor ----------------------
-  VcpuMode mode = VcpuMode::kGuest;
-  GuestSoftware main_sw;    // the VM's boot image (virtual EL2 for hyp guests)
-  GuestSoftware nested_sw;  // image the guest hypervisor loads for its guest
-  GuestSoftware nested2_sw;  // one level deeper: the L3 image an L2
-                             // hypervisor loads (recursive nesting, 6.2)
-  GuestSoftware* active_nested = &nested_sw;  // which nested image is current
-  bool vel2_handler_active = false;  // virtual-EL2 vector currently running
-  bool parked = false;               // left "running" by ParkRunning()
-  int loaded_on_pcpu = -1;
-
-  // Recursive nesting: the currently-entered nested context is itself a
-  // hypervisor (the guest hypervisor programmed NV for it); `nested_hcr`
-  // holds the virtual HCR bits the host mirrors into hardware.
-  bool nested_is_hyp = false;
-  uint64_t nested_hcr = 0;
-
   // A virtual-vector invocation the guest hypervisor scheduled for after its
   // next guest entry ("the eret lands at the deeper vector"); see
   // GuestEnv::DeferVectorCall.
@@ -133,11 +160,6 @@ class Vcpu {
     Syndrome syndrome;
   };
   std::optional<DeferredVector> deferred_vector;
-  bool deferred_vector_active = false;
-  // Set by a guest hypervisor that fixed up translation state for a
-  // forwarded Stage-2 fault: the host replays the access instead of
-  // completing it as MMIO.
-  bool mmio_retry = false;
 
   // Nested virtualization support: shadow Stage-2 tables, keyed by the
   // guest hypervisor's virtual VTTBR (it may maintain several Stage-2
@@ -149,21 +171,15 @@ class Vcpu {
   // Hypervisor-level virtual GIC: interrupts pending injection into this
   // vCPU, and the list-register images to load on next entry.
   std::deque<uint32_t> pending_virq;
-  // Monotonic count of virtual interrupts ever *newly* enqueued for this
-  // vCPU (re-queues on context switch do not count). SMP rendezvous
-  // predicates read it: unlike pending_virq's size it never decreases, so
-  // "my sibling sent round N's IPI" stays observable after delivery.
-  // Cross-lane writes go through the SMP engine's deferred merge (or stay
-  // on the single cooperative thread), hence no lock.
-  uint64_t virqs_enqueued = 0;
 
-  // Result slot for a forwarded MMIO read completed by the guest hypervisor
-  // (the architectural x0 of the faulting load).
-  uint64_t mmio_result = 0;
-
-  // Statistics.
-  uint64_t exits = 0;
-  uint64_t vel2_deliveries = 0;
+  // The software slots come last, behind the fields every exit touches:
+  // placed between those and VcpuRunState they cost the trap path a few
+  // percent (paper_tables host throughput).
+  GuestSoftware main_sw;    // the VM's boot image (virtual EL2 for hyp guests)
+  GuestSoftware nested_sw;  // image the guest hypervisor loads for its guest
+  GuestSoftware nested2_sw;  // one level deeper: the L3 image an L2
+                             // hypervisor loads (recursive nesting, 6.2)
+  GuestSoftware* active_nested = &nested_sw;  // which nested image is current
 
   // Drops every piece of run-time state the hypervisor layers above manage
   // (software slots, pending interrupts, shadow tables, deferred work),

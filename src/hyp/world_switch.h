@@ -90,6 +90,7 @@ int El1ContextIndexOf(RegId el1_reg);
 // A saved register context (hypervisor software memory).
 struct El1Context {
   uint64_t regs[kNumVmEl1Regs] = {};
+  bool operator==(const El1Context&) const = default;
 };
 
 // Save/restore the VM (or host kernel) EL1 context. Each register costs the
@@ -104,6 +105,7 @@ void RestoreEl1Context(Cpu& cpu, bool vhe, const El1Context& in);
 inline constexpr int kNumExtEl1Regs = 6;
 struct ExtEl1Context {
   uint64_t regs[kNumExtEl1Regs] = {};
+  bool operator==(const ExtEl1Context&) const = default;
 };
 void SaveExtEl1Context(Cpu& cpu, bool vhe, ExtEl1Context* out);
 void RestoreExtEl1Context(Cpu& cpu, bool vhe, const ExtEl1Context& in);
@@ -114,6 +116,7 @@ void RestoreExtEl1Context(Cpu& cpu, bool vhe, const ExtEl1Context& in);
 struct PmuDebugContext {
   uint64_t mdscr = 0;
   uint64_t pmuserenr = 0;
+  bool operator==(const PmuDebugContext&) const = default;
 };
 void SavePmuDebugState(Cpu& cpu, PmuDebugContext* out);
 void RestorePmuDebugState(Cpu& cpu, const PmuDebugContext& in);
@@ -148,6 +151,7 @@ void RestoreVgic(Cpu& cpu, const VgicContext& ctx);
 struct TimerContext {
   uint64_t cntv_ctl = 0;
   uint64_t cntv_cval = 0;
+  bool operator==(const TimerContext&) const = default;
 };
 // Exit: save + disable the guest's EL1 virtual timer, open host timer access.
 void SaveGuestTimer(Cpu& cpu, bool vhe, TimerContext* out);

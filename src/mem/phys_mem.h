@@ -34,6 +34,14 @@ namespace snap {
 class Serializer;  // src/snap: restores the page allocator's bump pointer
 }  // namespace snap
 
+// One page's index and contents, as restart checkpoints and snapshots copy
+// them.
+struct PageCopy {
+  uint64_t page_index = 0;
+  std::array<uint8_t, kPageSize> data{};
+  bool operator==(const PageCopy&) const = default;
+};
+
 class PhysMem : public MemIo {
  public:
   // size must be page aligned.

@@ -68,26 +68,26 @@ ShadowS2::FixupResult ShadowS2::FinishFault(Ipa l2_ipa, const WalkResult& virt,
   // exit-multiplication pressure with unchanged final state.
   if (FaultActive(fault_) &&
       fault_->ShouldInject(FaultPoint::kShadowS2TranslationFault, /*cpu=*/-1,
-                           faults_handled_, l2_ipa.value)) {
+                           counters_.faults_handled, l2_ipa.value)) {
     table_.Reset();
   }
   if (!virt.ok) {
-    ++virtual_faults_;
+    ++counters_.virtual_faults;
     return FixupResult::kVirtualFault;
   }
   // Step 2: L1 IPA -> L0 PA through the host's tables.
   Ipa l1_ipa(virt.pa.value);
   WalkResult host = host_s2.Walk(l1_ipa, is_write);
   if (!host.ok) {
-    ++host_faults_;
+    ++counters_.host_faults;
     return FixupResult::kHostFault;
   }
   // Step 3: install the collapsed mapping with intersected permissions.
   PagePerms perms{.write = virt.perms.write && host.perms.write,
                   .user = virt.perms.user};
   table_.MapPage(Ipa(l2_ipa.PageBase().value), host.pa.PageBase(), perms);
-  ++faults_handled_;
-  ++installed_;
+  ++counters_.faults_handled;
+  ++counters_.installed;
   return FixupResult::kInstalled;
 }
 

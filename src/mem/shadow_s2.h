@@ -84,7 +84,7 @@ class ShadowS2 {
   // vCPU's shadow of the same virtual Stage-2 (mem::FlushShadows).
   void Flush() {
     table_.Reset();
-    ++flushes_;
+    ++counters_.flushes;
   }
 
   // Machine-wide fault injector; when armed, HandleFault may be hit with an
@@ -95,18 +95,28 @@ class ShadowS2 {
   const Stage2Table& table() const { return table_; }
   Stage2Table& table() { return table_; }
 
-  uint64_t faults_handled() const { return faults_handled_; }
+  uint64_t faults_handled() const { return counters_.faults_handled; }
 
   // Times this shadow tree was discarded wholesale (vTTBR switch or TLBI
   // shootdown); every flush forces refaults for the mappings still in use.
-  uint64_t flushes() const { return flushes_; }
+  uint64_t flushes() const { return counters_.flushes; }
 
   // Per-outcome fault counts (faults_handled() counts only installs). Used
   // by the attribution report to split shadow-fixup cycles between real
   // installs and forwarded virtual faults.
-  uint64_t installed() const { return installed_; }
-  uint64_t virtual_faults() const { return virtual_faults_; }
-  uint64_t host_faults() const { return host_faults_; }
+  uint64_t installed() const { return counters_.installed; }
+  uint64_t virtual_faults() const { return counters_.virtual_faults; }
+  uint64_t host_faults() const { return counters_.host_faults; }
+
+  // The counters above, which a snapshot carries whole (src/snap).
+  struct Counters {
+    uint64_t faults_handled = 0;
+    uint64_t flushes = 0;
+    uint64_t installed = 0;
+    uint64_t virtual_faults = 0;
+    uint64_t host_faults = 0;
+    bool operator==(const Counters&) const = default;
+  };
 
  private:
   friend class snap::Serializer;
@@ -115,11 +125,7 @@ class ShadowS2 {
                           const Stage2Table& host_s2);
 
   Stage2Table table_;
-  uint64_t faults_handled_ = 0;
-  uint64_t flushes_ = 0;
-  uint64_t installed_ = 0;
-  uint64_t virtual_faults_ = 0;
-  uint64_t host_faults_ = 0;
+  Counters counters_;  // single-mutator: snap restore runs quiesced
   FaultInjector* fault_ = nullptr;  // not-snapshotted: host wiring
 };
 

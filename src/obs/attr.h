@@ -124,6 +124,8 @@ struct AttrBucket {
   AttrCat cat = AttrCat::kHostOther;
   uint64_t cycles = 0;
 
+  bool operator==(const AttrBucket&) const = default;
+
   // "vm0/vcpu1;L2;trap_sysreg" -- the collapsed-stack frame prefix.
   std::string StackName() const;
 };
@@ -201,6 +203,7 @@ class CycleAttribution {
     std::string reason;
     uint64_t cycles = 0;  // machine cycle total at capture
     std::vector<AttrBucket> buckets;
+    bool operator==(const FlightRecord&) const = default;
   };
   static constexpr size_t kFlightCapacity = 16;
   void RecordFlight(const std::string& reason);

@@ -3,27 +3,20 @@
 // Every private-field access the snapshot subsystem performs lives in this
 // translation unit, under the Serializer methods (or lambdas inside them,
 // which inherit their access) that the `friend class snap::Serializer`
-// declarations across the tree license. The anonymous-namespace helpers only
-// touch the all-public Image structs and wire format.
+// declarations across the tree license. The anonymous-namespace helpers
+// name only public types: the Image structs, the wire format, and the
+// containers a Serializer method hands them.
 
 #include "src/snap/snapshot.h"
 
 #include <algorithm>
-#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "src/fault/fault.h"
-#include "src/hyp/devices.h"
-#include "src/hyp/guest_kvm.h"
-#include "src/hyp/host_kvm.h"
-#include "src/hyp/virtio.h"
-#include "src/hyp/vm.h"
-#include "src/mem/phys_mem.h"
-#include "src/mem/shadow_s2.h"
-#include "src/obs/attr.h"
 #include "src/sim/machine.h"
 #include "src/snap/wire.h"
 
@@ -39,11 +32,27 @@ Status Mismatch(const std::string& what) {
 // One Visit per image type names every encoded field once, in wire order. Ar
 // is Writer (Encode) or Reader (Decode); see wire.h. The second argument of
 // each Vec is the smallest encoding of one element, Decode's bound on the
-// count.
+// count. A struct the simulator keeps with private fields lists them in its
+// own SnapFields member, which the Visit calls.
 
-template <class Ar>
-void U64s(Ar& ar, std::vector<uint64_t>& v) {
+template <class Ar, class V>
+void U64s(Ar& ar, V& v) {
   ar.Vec(v, 8, [&ar](uint64_t& x) { ar.U64(x); });
+}
+
+// A value its owner may lack (per-vCPU state a hypervisor creates on first
+// use, a guest hypervisor or a device a stack may not have): a presence
+// byte, then the fields -- a default value's when absent, so the layout
+// never varies. Decoding fills a fresh image, so `o` starts absent there.
+template <class Ar, class T, class Fn>
+void Optional(Ar& ar, std::optional<T>& o, Fn fn) {
+  bool present = o.has_value();
+  ar.U8(present);
+  if (present && !o.has_value()) {
+    o.emplace();
+  }
+  T absent{};
+  fn(present ? *o : absent);
 }
 
 template <class Ar>
@@ -90,32 +99,6 @@ void Visit(Ar& ar, MetaImage& m) {
 }
 
 template <class Ar>
-void Visit(Ar& ar, TrapRecord& r) {
-  ar.U64(r.sequence);
-  Syndrome& s = r.syndrome;
-  ar.U8(s.ec);
-  ar.U32(s.imm16);
-  ar.U32(s.sysreg);
-  ar.U8(s.is_write);
-  ar.U64(s.write_value);
-  ar.U64(s.far);
-  ar.U64(s.hpfar);
-  ar.U8(s.abort_is_write);
-  ar.U8(s.access_size);
-  ar.U32(s.intid);
-  ar.U64(r.cycles_at_entry);
-}
-
-template <class Ar>
-void Visit(Ar& ar, TlbEntryImage& e) {
-  ar.U64(e.va_page);
-  ar.U64(e.s1_root);
-  ar.U64(e.s2_root);
-  ar.U64(e.pa_page);
-  ar.U8(e.writable);
-}
-
-template <class Ar>
 void Visit(Ar& ar, CpuImage& c) {
   ar.U8(c.el);
   ar.I32(c.trap_depth);
@@ -123,21 +106,20 @@ void Visit(Ar& ar, CpuImage& c) {
   U64s(ar, c.regs);
   ar.U64(c.watchdog_deadline);
   ar.U8(c.trap_tlbi);
-  ar.U8(c.record_details);
-  ar.U64(c.traps_to_el2);
-  ar.U64(c.hvc_traps);
-  ar.U64(c.sysreg_traps);
-  ar.U64(c.eret_traps);
-  ar.U64(c.abort_traps);
-  ar.U64(c.irq_exits);
-  ar.Vec(c.records, 8 + 42 + 8, [&ar](TrapRecord& r) { Visit(ar, r); });
-  U64s(ar, c.cycles_by_class);
-  ar.Vec(c.tlb, 4 * 8 + 1, [&ar](TlbEntryImage& e) { Visit(ar, e); });
+  c.trace.SnapFields(ar);
+  ar.Vec(c.tlb, 4 * 8 + 1,
+         [&ar](std::pair<Cpu::TlbKey, Cpu::TlbEntry>& e) {
+           ar.U64(e.first.va_page);
+           ar.U64(e.first.s1_root);
+           ar.U64(e.first.s2_root);
+           ar.U64(e.second.pa_page);
+           ar.U8(e.second.writable);
+         });
 }
 
 template <class Ar>
 void Visit(Ar& ar, MemImage& m) {
-  ar.Vec(m.pages, 8 + kPageSize, [&ar](PageImage& p) {
+  ar.Vec(m.pages, 8 + kPageSize, [&ar](PageCopy& p) {
     ar.U64(p.page_index);
     ar.Bytes(p.data.data(), p.data.size());
   });
@@ -192,8 +174,8 @@ void Visit(Ar& ar, FaultImage& f) {
 
 template <class Ar>
 void Visit(Ar& ar, GicImage& g) {
-  ar.Vec(g.ack_info, 8, [&ar](std::vector<LrAckImage>& row) {
-    ar.Vec(row, 17, [&ar](LrAckImage& a) {
+  ar.Vec(g.ack_info, 8, [&ar](auto& row) {
+    ar.Vec(row, 17, [&ar](GicV3::LrAckInfo& a) {
       ar.U64(a.ack_cycles);
       ar.U64(a.ack_trace_id);
       ar.U8(a.valid);
@@ -207,34 +189,37 @@ template <class Ar>
 void Visit(Ar& ar, ShadowImage& s) {
   ar.U64(s.vvttbr);
   ar.U64(s.root);
-  ar.U64(s.faults_handled);
-  ar.U64(s.flushes);
-  ar.U64(s.installed);
-  ar.U64(s.virtual_faults);
-  ar.U64(s.host_faults);
+  ShadowS2::Counters& n = s.counters;
+  ar.U64(n.faults_handled);
+  ar.U64(n.flushes);
+  ar.U64(n.installed);
+  ar.U64(n.virtual_faults);
+  ar.U64(n.host_faults);
 }
 
+// VcpuRunState's field list, interleaved with the rest of the vCPU.
 template <class Ar>
 void Visit(Ar& ar, VcpuImage& v) {
-  ar.U8(v.mode);
+  VcpuRunState& r = v.run;
+  ar.U8(r.mode);
   ar.U8(v.main_started);
   ar.U8(v.nested_started);
   ar.U8(v.nested2_started);
   ar.U8(v.active_nested);
-  ar.U8(v.vel2_handler_active);
-  ar.U8(v.parked);
-  ar.I32(v.loaded_on_pcpu);
-  ar.U8(v.nested_is_hyp);
-  ar.U64(v.nested_hcr);
-  ar.U8(v.deferred_vector_active);
-  ar.U8(v.mmio_retry);
+  ar.U8(r.vel2_handler_active);
+  ar.U8(r.parked);
+  ar.I32(r.loaded_on_pcpu);
+  ar.U8(r.nested_is_hyp);
+  ar.U64(r.nested_hcr);
+  ar.U8(r.deferred_vector_active);
+  ar.U8(r.mmio_retry);
   ar.Vec(v.shadows, 7 * 8, [&ar](ShadowImage& s) { Visit(ar, s); });
   ar.U64(v.vncr_hw_page);
   ar.Vec(v.pending_virq, 4, [&ar](uint32_t& q) { ar.U32(q); });
-  ar.U64(v.virqs_enqueued);
-  ar.U64(v.mmio_result);
-  ar.U64(v.exits);
-  ar.U64(v.vel2_deliveries);
+  ar.U64(r.virqs_enqueued);
+  ar.U64(r.mmio_result);
+  ar.U64(r.exits);
+  ar.U64(r.vel2_deliveries);
   U64s(ar, v.vregs);
 }
 
@@ -255,8 +240,16 @@ void Visit(Ar& ar, VmImage& v) {
 }
 
 template <class Ar>
-void Visit(Ar& ar, VcpuHostStateImage& s) {
-  ar.U8(s.present);
+void Visit(Ar& ar, HostKvm::PcpuContext& p) {
+  ar.U8(p.guest_loaded);
+  ar.I32(p.lrs_loaded);
+  Visit(ar, p.host_el1);
+  Visit(ar, p.host_ext);
+  Visit(ar, p.host_pmu);
+}
+
+template <class Ar>
+void Visit(Ar& ar, HostKvm::VcpuHostState& s) {
   Visit(ar, s.cur_el1);
   Visit(ar, s.vel2_exec);
   Visit(ar, s.ext);
@@ -268,28 +261,14 @@ void Visit(Ar& ar, VcpuHostStateImage& s) {
 }
 
 template <class Ar>
-void Visit(Ar& ar, PcpuImage& p) {
-  ar.I32(p.current_vm);
-  ar.I32(p.current_vcpu);
-  ar.U8(p.guest_loaded);
-  ar.I32(p.lrs_loaded);
-  Visit(ar, p.host_el1);
-  Visit(ar, p.host_ext);
-  Visit(ar, p.host_pmu);
+void Visit(Ar& ar, GuestKvm::PvcpuContext& p) {
+  Visit(ar, p.kernel_el1);
+  Visit(ar, p.kernel_ext);
+  Visit(ar, p.timer);
 }
 
 template <class Ar>
-void Visit(Ar& ar, HostImage& h) {
-  ar.Vec(h.vms, 64, [&ar](VmImage& v) { Visit(ar, v); });
-  ar.Vec(h.pcpu, 64, [&ar](PcpuImage& p) { Visit(ar, p); });
-  ar.Vec(h.vcpu_state, 8, [&ar](std::vector<VcpuHostStateImage>& row) {
-    ar.Vec(row, 64, [&ar](VcpuHostStateImage& s) { Visit(ar, s); });
-  });
-}
-
-template <class Ar>
-void Visit(Ar& ar, NestedVcpuStateImage& s) {
-  ar.U8(s.present);
+void Visit(Ar& ar, GuestKvm::NestedContext& s) {
   Visit(ar, s.el1);
   Visit(ar, s.ext);
   Visit(ar, s.pmu);
@@ -297,44 +276,20 @@ void Visit(Ar& ar, NestedVcpuStateImage& s) {
   ar.U64(s.spsr);
 }
 
-template <class Ar>
-void Visit(Ar& ar, PvcpuImage& p) {
-  ar.I32(p.running_vm);
-  ar.I32(p.running_vcpu);
-  Visit(ar, p.kernel_el1);
-  Visit(ar, p.kernel_ext);
-  Visit(ar, p.timer);
-}
-
-template <class Ar>
-void Visit(Ar& ar, GuestImage& g) {
-  ar.U8(g.present);
-  ar.U64(g.table_alloc_next);
-  ar.U64(g.next_nested_ram);
-  ar.Vec(g.vms, 64, [&ar](VmImage& v) { Visit(ar, v); });
-  ar.Vec(g.pvcpu, 64, [&ar](PvcpuImage& p) { Visit(ar, p); });
-  ar.Vec(g.nstate, 8, [&ar](std::vector<NestedVcpuStateImage>& row) {
-    ar.Vec(row, 64, [&ar](NestedVcpuStateImage& s) { Visit(ar, s); });
+// A hypervisor level: all of HOST, the tail of GKVM.
+template <class Ar, class Context, class State>
+void VisitLevel(Ar& ar, LevelImage<Context, State>& l) {
+  ar.Vec(l.vms, 64, [&ar](VmImage& v) { Visit(ar, v); });
+  ar.Vec(l.slots, 64, [&ar](SlotImage<Context>& s) {
+    ar.I32(s.vm);
+    ar.I32(s.vcpu);
+    Visit(ar, s.ctx);
   });
-}
-
-template <class Ar>
-void Visit(Ar& ar, DevImage& d) {
-  ar.U8(d.device_present);
-  ar.U64(d.device_reads);
-  ar.U64(d.device_writes);
-  ar.U64(d.device_last_write);
-  ar.U8(d.backend_present);
-  ar.U64(d.last_avail);
-  ar.U64(d.busy_until);
-  ar.U64(d.kicks);
-  ar.U64(d.buffers_processed);
-  ar.U8(d.driver_present);
-  ar.U64(d.avail_idx);
-  ar.U64(d.last_used);
-  ar.I32(d.next_desc);
-  ar.U64(d.kicks_sent);
-  ar.U64(d.posts);
+  ar.Vec(l.vcpu_state, 8, [&ar](std::vector<std::optional<State>>& row) {
+    ar.Vec(row, 64, [&ar](std::optional<State>& s) {
+      Optional(ar, s, [&ar](State& v) { Visit(ar, v); });
+    });
+  });
 }
 
 template <class Ar>
@@ -347,9 +302,181 @@ void Visit(Ar& ar, Image& img) {
   ar.Section(kSecAttr, [&] { Visit(ar, img.attr); });
   ar.Section(kSecFault, [&] { Visit(ar, img.fault); });
   ar.Section(kSecGic, [&] { Visit(ar, img.gic); });
-  ar.Section(kSecHost, [&] { Visit(ar, img.host); });
-  ar.Section(kSecGuest, [&] { Visit(ar, img.guest); });
-  ar.Section(kSecDevs, [&] { Visit(ar, img.devs); });
+  ar.Section(kSecHost, [&] { VisitLevel(ar, img.host); });
+  ar.Section(kSecGuest, [&] {
+    Optional(ar, img.guest, [&ar](GuestImage& g) {
+      ar.U64(g.table_alloc_next);
+      ar.U64(g.next_nested_ram);
+      VisitLevel(ar, g);
+    });
+  });
+  ar.Section(kSecDevs, [&] {
+    Optional(ar, img.devs.device, [&ar](TestDevice::State& d) {
+      ar.U64(d.reads);
+      ar.U64(d.writes);
+      ar.U64(d.last_write);
+    });
+    Optional(ar, img.devs.backend, [&ar](VirtioBackend::State& b) {
+      ar.U64(b.last_avail);
+      ar.U64(b.busy_until);
+      ar.U64(b.kicks);
+      ar.U64(b.buffers_processed);
+    });
+    Optional(ar, img.devs.driver, [&ar](VirtioDriver::State& d) {
+      ar.U64(d.avail_idx);
+      ar.U64(d.last_used);
+      ar.I32(d.next_desc);
+      ar.U64(d.kicks_sent);
+      ar.U64(d.posts);
+    });
+  });
+}
+
+// --- one path for both hypervisor levels ------------------------------------
+// HOST and GKVM have the same shape: VMs, (v)CPU slots that each name the
+// vCPU loaded on them (`loaded` is PcpuState::current or
+// PvcpuState::running), and per-vCPU state the level creates on first use.
+// Serializer names each level's private containers and hands them here.
+
+template <class Slot>
+using LoadedVcpu = Vcpu* Slot::*;
+template <class State>
+using StateMap = std::unordered_map<const Vcpu*, std::unique_ptr<State>>;
+using Vms = std::vector<std::unique_ptr<Vm>>;
+
+template <class Context, class Slot>
+Status CaptureSlots(const Vms& vms, const std::vector<Slot>& slots,
+                    LoadedVcpu<Slot> loaded,
+                    std::vector<SlotImage<Context>>* out) {
+  for (const Slot& s : slots) {
+    SlotImage<Context>& si = out->emplace_back();
+    si.ctx = s;
+    const Vcpu* vc = s.*loaded;
+    if (vc == nullptr) {
+      continue;
+    }
+    auto it = std::ranges::find_if(
+        vms, [vc](const auto& vm) { return vm.get() == &vc->vm(); });
+    if (it == vms.end()) {
+      return Status::Internal(
+          "snapshot: a loaded vcpu's VM is not registered with its "
+          "hypervisor");
+    }
+    si.vm = static_cast<int>(it - vms.begin());
+    si.vcpu = vc->id();
+  }
+  return Status::Ok();
+}
+
+template <class Context, class State>
+void CaptureRows(const Vms& vms, const StateMap<State>& state,
+                 std::vector<std::vector<std::optional<Context>>>* out) {
+  for (const auto& vm : vms) {
+    auto& row = out->emplace_back();
+    for (int i = 0; i < vm->num_vcpus(); ++i) {
+      auto it = state.find(&vm->vcpu(i));
+      row.push_back(it == state.end()
+                        ? std::nullopt
+                        : std::optional<Context>(*it->second));
+    }
+  }
+}
+
+// Phase 1: every slot must hold the same vCPU (an index out of range is
+// invalid, a different vCPU a structural mismatch).
+template <class Context, class Slot>
+Status VerifySlots(const Vms& vms, const std::vector<Slot>& slots,
+                   LoadedVcpu<Slot> loaded,
+                   const std::vector<SlotImage<Context>>& img,
+                   const std::string& name) {
+  if (img.size() != slots.size()) {
+    return Mismatch(name + " count");
+  }
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const SlotImage<Context>& si = img[i];
+    const Vcpu* want = nullptr;
+    if (si.vm >= 0) {
+      if (static_cast<size_t>(si.vm) >= vms.size() || si.vcpu < 0 ||
+          si.vcpu >= vms[static_cast<size_t>(si.vm)]->num_vcpus()) {
+        return Status::InvalidArgument("snapshot: vcpu loaded on " + name +
+                                       " " + std::to_string(i) +
+                                       " out of range");
+      }
+      want = &vms[static_cast<size_t>(si.vm)]->vcpu(si.vcpu);
+    }
+    if (slots[i].*loaded != want) {
+      return Mismatch("loaded vcpu identity on " + name + " " +
+                      std::to_string(i));
+    }
+  }
+  return Status::Ok();
+}
+
+template <class Row>
+Status VerifyRows(const Vms& vms, const std::vector<Row>& rows,
+                  const std::string& level) {
+  if (rows.size() != vms.size()) {
+    return Mismatch(level + " vcpu-state shape");
+  }
+  for (size_t i = 0; i < vms.size(); ++i) {
+    if (rows[i].size() != static_cast<size_t>(vms[i]->num_vcpus())) {
+      return Mismatch(level + " vcpu-state row shape");
+    }
+  }
+  return Status::Ok();
+}
+
+// Phase 2: the vCPUs' shadow sets take the captured keys. A new ShadowS2
+// allocates (and zeroes) a root page in `mem` through `alloc`, which is why
+// this runs before the page rewrite and the cursor restore.
+void ReconcileShadows(const Vms& vms, const std::vector<VmImage>& img,
+                      MemIo* mem, PageAllocator* alloc, FaultInjector* fault) {
+  for (size_t i = 0; i < vms.size(); ++i) {
+    for (int j = 0; j < vms[i]->num_vcpus(); ++j) {
+      Vcpu& vc = vms[i]->vcpu(j);
+      const std::vector<ShadowImage>& want =
+          img[i].vcpus[static_cast<size_t>(j)].shadows;
+      std::erase_if(vc.shadows, [&want](const auto& kv) {
+        return std::ranges::find(want, kv.first, &ShadowImage::vvttbr) ==
+               want.end();
+      });
+      for (const ShadowImage& s : want) {
+        std::unique_ptr<ShadowS2>& slot = vc.shadows[s.vvttbr];
+        if (slot == nullptr) {
+          slot = std::make_unique<ShadowS2>(mem, alloc);
+          slot->SetFaultInjector(fault);
+        }
+      }
+    }
+  }
+}
+
+template <class Context, class Slot>
+void ApplySlots(std::vector<Slot>& slots,
+                const std::vector<SlotImage<Context>>& img) {
+  for (size_t i = 0; i < slots.size(); ++i) {
+    static_cast<Context&>(slots[i]) = img[i].ctx;
+  }
+}
+
+template <class Context, class State>
+void ApplyRows(const Vms& vms, StateMap<State>& state,
+               const std::vector<std::vector<std::optional<Context>>>& rows) {
+  for (size_t i = 0; i < vms.size(); ++i) {
+    for (int j = 0; j < vms[i]->num_vcpus(); ++j) {
+      const Vcpu* vc = &vms[i]->vcpu(j);
+      const std::optional<Context>& want = rows[i][static_cast<size_t>(j)];
+      if (!want.has_value()) {
+        state.erase(vc);
+        continue;
+      }
+      std::unique_ptr<State>& slot = state[vc];
+      if (slot == nullptr) {
+        slot = std::make_unique<State>();
+      }
+      static_cast<Context&>(*slot) = *want;
+    }
+  }
 }
 
 }  // namespace
@@ -358,56 +485,40 @@ void Visit(Ar& ar, Image& img) {
 // Capture
 // ===========================================================================
 
-Status Serializer::CaptureVm(Vm& vm, VmImage* out) {
-  VmImage v;
-  v.config = vm.config_;
-  v.id = vm.id_;
-  v.ram_base = vm.ram_base_.value;
-  v.s2_root = vm.s2_.root().value;
-  v.dead = vm.dead_;
-  v.generation = vm.generation_;
-  for (int i = 0; i < vm.num_vcpus(); ++i) {
-    Vcpu& vc = vm.vcpu(i);
-    if (vc.deferred_vector.has_value()) {
-      return Status::Unimplemented(
-          "snapshot: vcpu of '" + v.config.name +
-          "' holds a pending deferred vector call; checkpoint at an "
-          "operation boundary instead");
+Status Serializer::CaptureVms(const Vms& vms, std::vector<VmImage>* out) {
+  for (const auto& vmp : vms) {
+    Vm& vm = *vmp;
+    VmImage& v = out->emplace_back();
+    v.config = vm.config_;
+    v.id = vm.id_;
+    v.ram_base = vm.ram_base_.value;
+    v.s2_root = vm.s2_.root().value;
+    v.dead = vm.dead_;
+    v.generation = vm.generation_;
+    for (int i = 0; i < vm.num_vcpus(); ++i) {
+      Vcpu& vc = vm.vcpu(i);
+      if (vc.deferred_vector.has_value()) {
+        return Status::Unimplemented(
+            "snapshot: vcpu of '" + v.config.name +
+            "' holds a pending deferred vector call; checkpoint at an "
+            "operation boundary instead");
+      }
+      VcpuImage& vi = v.vcpus.emplace_back();
+      vi.run = vc;
+      vi.main_started = vc.main_sw.started;
+      vi.nested_started = vc.nested_sw.started;
+      vi.nested2_started = vc.nested2_sw.started;
+      vi.active_nested = vc.active_nested == &vc.nested2_sw;
+      for (const auto& [vvttbr, sh] : vc.shadows) {
+        vi.shadows.push_back({.vvttbr = vvttbr,
+                              .root = sh->table_.root().value,
+                              .counters = sh->counters_});
+      }
+      vi.vncr_hw_page = vc.vncr_hw_page.value;
+      vi.pending_virq.assign(vc.pending_virq.begin(), vc.pending_virq.end());
+      std::ranges::copy(vc.vregs_, vi.vregs.begin());
     }
-    VcpuImage vi;
-    vi.mode = vc.mode;
-    vi.main_started = vc.main_sw.started;
-    vi.nested_started = vc.nested_sw.started;
-    vi.nested2_started = vc.nested2_sw.started;
-    vi.active_nested = vc.active_nested == &vc.nested2_sw;
-    vi.vel2_handler_active = vc.vel2_handler_active;
-    vi.parked = vc.parked;
-    vi.loaded_on_pcpu = vc.loaded_on_pcpu;
-    vi.nested_is_hyp = vc.nested_is_hyp;
-    vi.nested_hcr = vc.nested_hcr;
-    vi.deferred_vector_active = vc.deferred_vector_active;
-    vi.mmio_retry = vc.mmio_retry;
-    for (const auto& [vvttbr, sh] : vc.shadows) {
-      ShadowImage si;
-      si.vvttbr = vvttbr;
-      si.root = sh->table_.root().value;
-      si.faults_handled = sh->faults_handled_;
-      si.flushes = sh->flushes_;
-      si.installed = sh->installed_;
-      si.virtual_faults = sh->virtual_faults_;
-      si.host_faults = sh->host_faults_;
-      vi.shadows.push_back(si);
-    }
-    vi.vncr_hw_page = vc.vncr_hw_page.value;
-    vi.pending_virq.assign(vc.pending_virq.begin(), vc.pending_virq.end());
-    vi.virqs_enqueued = vc.virqs_enqueued;
-    vi.mmio_result = vc.mmio_result;
-    vi.exits = vc.exits;
-    vi.vel2_deliveries = vc.vel2_deliveries;
-    vi.vregs.assign(vc.vregs_, vc.vregs_ + kNumRegIds);
-    v.vcpus.push_back(std::move(vi));
   }
-  *out = std::move(v);
   return Status::Ok();
 }
 
@@ -431,39 +542,16 @@ Status Serializer::Capture(const SnapTargets& t, Image* out) {
   // CPUS: register files, clocks, traces, TLBs.
   for (int i = 0; i < m.num_cpus(); ++i) {
     Cpu& c = m.cpu(i);
-    CpuImage ci;
+    CpuImage& ci = img.cpus.emplace_back();
     ci.el = c.el_;
     ci.trap_depth = c.trap_depth_;
     ci.cycles = c.cycles_;
-    ci.regs.assign(c.regs_, c.regs_ + kNumRegIds);
+    std::ranges::copy(c.regs_, ci.regs.begin());
     ci.watchdog_deadline = c.watchdog_deadline_;
     ci.trap_tlbi = c.trap_tlbi_;
-    const CpuTrace& tr = c.trace_;
-    ci.record_details = tr.record_details_;
-    ci.traps_to_el2 = tr.traps_to_el2_;
-    ci.hvc_traps = tr.hvc_traps_;
-    ci.sysreg_traps = tr.sysreg_traps_;
-    ci.eret_traps = tr.eret_traps_;
-    ci.abort_traps = tr.abort_traps_;
-    ci.irq_exits = tr.irq_exits_;
-    ci.records = tr.records_;
-    ci.cycles_by_class.assign(tr.cycles_by_class_.begin(),
-                              tr.cycles_by_class_.end());
-    for (const auto& [key, entry] : c.tlb_) {
-      TlbEntryImage te;
-      te.va_page = key.va_page;
-      te.s1_root = key.s1_root;
-      te.s2_root = key.s2_root;
-      te.pa_page = entry.pa_page;
-      te.writable = entry.writable;
-      ci.tlb.push_back(te);
-    }
-    std::sort(ci.tlb.begin(), ci.tlb.end(),
-              [](const TlbEntryImage& a, const TlbEntryImage& b) {
-                return std::tie(a.va_page, a.s1_root, a.s2_root) <
-                       std::tie(b.va_page, b.s1_root, b.s2_root);
-              });
-    img.cpus.push_back(std::move(ci));
+    ci.trace = c.trace_;
+    ci.tlb.assign(c.tlb_.begin(), c.tlb_.end());
+    std::ranges::sort(ci.tlb, {}, [](const auto& e) { return e.first; });
   }
 
   // MEMP: the full resident physical page set (page tables, shadow table
@@ -471,10 +559,9 @@ Status Serializer::Capture(const SnapTargets& t, Image* out) {
   // cursors that decide where the *next* page lands.
   PhysMem& mem = m.mem_;
   for (uint64_t idx : mem.ResidentPageIndices()) {
-    PageImage pi;
-    pi.page_index = idx;
-    NEVE_CHECK(mem.ReadPage(idx, &pi.data));
-    img.mem.pages.push_back(std::move(pi));
+    PageCopy& p = img.mem.pages.emplace_back();
+    p.page_index = idx;
+    NEVE_CHECK(mem.ReadPage(idx, &p.data));
   }
   {
     MutexLock lock(m.host_pool_.mu_);
@@ -488,13 +575,10 @@ Status Serializer::Capture(const SnapTargets& t, Image* out) {
   CycleAttribution& attr = m.attr_;
   attr.FoldPending();
   for (const auto& pc : attr.percpu_) {
-    AttrCpuImage ai;
+    AttrCpuImage& ai = img.attr.percpu.emplace_back();
     ai.stack = pc.stack;
-    for (const auto& [key, cycles] : pc.buckets) {
-      ai.buckets.emplace_back(key, cycles);
-    }
+    ai.buckets.assign(pc.buckets.begin(), pc.buckets.end());
     std::sort(ai.buckets.begin(), ai.buckets.end());
-    img.attr.percpu.push_back(std::move(ai));
   }
   {
     MutexLock lock(attr.flights_mu_);
@@ -504,170 +588,56 @@ Status Serializer::Capture(const SnapTargets& t, Image* out) {
 
   // FALT: the injector's RNG position, counters and log.
   FaultInjector& f = m.fault_;
-  for (int i = 0; i < 4; ++i) {
-    img.fault.rng_state[static_cast<size_t>(i)] =
-        f.rng_.state_[static_cast<size_t>(i)];
-  }
-  img.fault.counts.assign(f.counts_, f.counts_ + kNumFaultPoints);
+  std::ranges::copy(f.rng_.state_, img.fault.rng_state.begin());
+  std::ranges::copy(f.counts_, img.fault.counts.begin());
   img.fault.log = f.log_;
 
   // GICC: ack bookkeeping + counter shards.
   GicV3& g = m.gic_;
-  for (const auto& row : g.ack_info_) {
-    std::vector<LrAckImage> ri;
-    for (const auto& a : row) {
-      ri.push_back({.ack_cycles = a.ack_cycles,
-                    .ack_trace_id = a.ack_trace_id,
-                    .valid = a.valid});
-    }
-    img.gic.ack_info.push_back(std::move(ri));
-  }
+  img.gic.ack_info = g.ack_info_;
   img.gic.virtual_acks = g.virtual_acks_;
   img.gic.virtual_eois = g.virtual_eois_;
 
-  // HOST: VMs, pcpu slots (loaded vcpu as (vm index, vcpu id)), and the
-  // host-side per-vcpu contexts.
-  for (const auto& vmp : h.vms_) {
-    VmImage vi;
-    NEVE_RETURN_IF_ERROR(CaptureVm(*vmp, &vi));
-    img.host.vms.push_back(std::move(vi));
-  }
-  auto host_vm_index = [&h](const Vm* vm) {
-    for (size_t i = 0; i < h.vms_.size(); ++i) {
-      if (h.vms_[i].get() == vm) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  };
-  for (const auto& ps : h.pcpu_) {
-    PcpuImage pi;
-    if (ps.current != nullptr) {
-      pi.current_vm = host_vm_index(&ps.current->vm());
-      if (pi.current_vm < 0) {
-        return Status::Internal(
-            "snapshot: loaded vcpu's VM is not registered with the host");
-      }
-      pi.current_vcpu = ps.current->id();
-    }
-    pi.guest_loaded = ps.guest_loaded;
-    pi.lrs_loaded = ps.lrs_loaded;
-    pi.host_el1 = ps.host_el1;
-    pi.host_ext = ps.host_ext;
-    pi.host_pmu = ps.host_pmu;
-    img.host.pcpu.push_back(std::move(pi));
-  }
-  for (const auto& vmp : h.vms_) {
-    Vm& vm = *vmp;
-    std::vector<VcpuHostStateImage> row;
-    for (int i = 0; i < vm.num_vcpus(); ++i) {
-      VcpuHostStateImage si;
-      auto it = h.vcpu_state_.find(&vm.vcpu(i));
-      if (it != h.vcpu_state_.end()) {
-        const HostKvm::VcpuHostState& hs = *it->second;
-        si.present = true;
-        si.cur_el1 = hs.cur_el1;
-        si.vel2_exec = hs.vel2_exec;
-        si.ext = hs.ext;
-        si.pmu = hs.pmu;
-        si.elr = hs.elr;
-        si.spsr = hs.spsr;
-        si.timer = hs.timer;
-        si.cntvoff = hs.cntvoff;
-      }
-      row.push_back(si);
-    }
-    img.host.vcpu_state.push_back(std::move(row));
-  }
-
-  // GKVM: the guest hypervisor's nested VMs, pvcpu slots and per-nested-vcpu
-  // contexts (nested stacks only).
+  // HOST and GKVM (nested stacks only): VMs, (v)CPU slots and per-vCPU
+  // contexts, plus the guest hypervisor's allocator cursors.
+  NEVE_RETURN_IF_ERROR(CaptureVms(h.vms_, &img.host.vms));
+  NEVE_RETURN_IF_ERROR(CaptureSlots(h.vms_, h.pcpu_,
+                                    &HostKvm::PcpuState::current,
+                                    &img.host.slots));
+  CaptureRows(h.vms_, h.vcpu_state_, &img.host.vcpu_state);
   if (t.guest_hyp != nullptr) {
     GuestKvm& gk = *t.guest_hyp;
-    img.guest.present = true;
+    GuestImage& gi = img.guest.emplace();
     {
       MutexLock lock(gk.table_alloc_.mu_);
-      img.guest.table_alloc_next = gk.table_alloc_.next_;
+      gi.table_alloc_next = gk.table_alloc_.next_;
     }
-    img.guest.next_nested_ram = gk.next_nested_ram_;
-    for (const auto& vmp : gk.vms_) {
-      VmImage vi;
-      NEVE_RETURN_IF_ERROR(CaptureVm(*vmp, &vi));
-      img.guest.vms.push_back(std::move(vi));
-    }
-    auto guest_vm_index = [&gk](const Vm* vm) {
-      for (size_t i = 0; i < gk.vms_.size(); ++i) {
-        if (gk.vms_[i].get() == vm) {
-          return static_cast<int>(i);
-        }
-      }
-      return -1;
-    };
-    for (const auto& ps : gk.pvcpu_) {
-      PvcpuImage pi;
-      if (ps.running != nullptr) {
-        pi.running_vm = guest_vm_index(&ps.running->vm());
-        if (pi.running_vm < 0) {
-          return Status::Internal(
-              "snapshot: running nested vcpu's VM is not registered with the "
-              "guest hypervisor");
-        }
-        pi.running_vcpu = ps.running->id();
-      }
-      pi.kernel_el1 = ps.kernel_el1;
-      pi.kernel_ext = ps.kernel_ext;
-      pi.timer = ps.timer;
-      img.guest.pvcpu.push_back(std::move(pi));
-    }
+    gi.next_nested_ram = gk.next_nested_ram_;
+    NEVE_RETURN_IF_ERROR(CaptureVms(gk.vms_, &gi.vms));
+    NEVE_RETURN_IF_ERROR(CaptureSlots(gk.vms_, gk.pvcpu_,
+                                      &GuestKvm::PvcpuState::running,
+                                      &gi.slots));
     MutexLock lock(gk.nstate_mu_);
-    for (const auto& vmp : gk.vms_) {
-      Vm& vm = *vmp;
-      std::vector<NestedVcpuStateImage> row;
-      for (int i = 0; i < vm.num_vcpus(); ++i) {
-        NestedVcpuStateImage si;
-        auto it = gk.nstate_.find(&vm.vcpu(i));
-        if (it != gk.nstate_.end()) {
-          const GuestKvm::NestedVcpuState& ns = *it->second;
-          if (ns.rec != nullptr) {
-            return Status::Unimplemented(
-                "snapshot: live recursive-nesting (L2 hypervisor) state is "
-                "not coverable yet");
-          }
-          si.present = true;
-          si.el1 = ns.el1;
-          si.ext = ns.ext;
-          si.pmu = ns.pmu;
-          si.elr = ns.elr;
-          si.spsr = ns.spsr;
-        }
-        row.push_back(si);
-      }
-      img.guest.nstate.push_back(std::move(row));
+    if (std::ranges::any_of(gk.nstate_, [](const auto& kv) {
+          return kv.second->rec != nullptr;
+        })) {
+      return Status::Unimplemented(
+          "snapshot: live recursive-nesting (L2 hypervisor) state is not "
+          "coverable yet");
     }
+    CaptureRows(gk.vms_, gk.nstate_, &gi.vcpu_state);
   }
 
   // DEVS: device-model counters and virtio ring cursors.
   if (t.device != nullptr) {
-    img.devs.device_present = true;
-    img.devs.device_reads = t.device->reads_;
-    img.devs.device_writes = t.device->writes_;
-    img.devs.device_last_write = t.device->last_write_;
+    img.devs.device = t.device->state_;
   }
   if (t.virtio_backend != nullptr) {
-    img.devs.backend_present = true;
     MutexLock lock(t.virtio_backend->ring_mu_);
-    img.devs.last_avail = t.virtio_backend->last_avail_;
-    img.devs.busy_until = t.virtio_backend->busy_until_;
-    img.devs.kicks = t.virtio_backend->kicks_;
-    img.devs.buffers_processed = t.virtio_backend->buffers_processed_;
+    img.devs.backend = t.virtio_backend->state_;
   }
   if (t.virtio_driver != nullptr) {
-    img.devs.driver_present = true;
-    img.devs.avail_idx = t.virtio_driver->avail_idx_;
-    img.devs.last_used = t.virtio_driver->last_used_;
-    img.devs.next_desc = t.virtio_driver->next_desc_;
-    img.devs.kicks_sent = t.virtio_driver->kicks_sent_;
-    img.devs.posts = t.virtio_driver->posts_;
+    img.devs.driver = t.virtio_driver->state_;
   }
 
   *out = std::move(img);
@@ -707,93 +677,83 @@ Status Serializer::Decode(const std::vector<uint8_t>& bytes, Image* out) {
 // Apply
 // ===========================================================================
 
-Status Serializer::ApplyVmStructural(Vm& vm, const VmImage& img,
-                                     const std::string& where,
-                                     size_t num_pcpus) {
-  const VmConfig& want = img.config;
-  const std::string& name = want.name;
-  if (vm.config_.name != name) {
-    return Mismatch(where + ": vm name '" + vm.config_.name + "' vs '" +
-                    name + "'");
+Status Serializer::VerifyVms(const Vms& vms, const std::vector<VmImage>& img,
+                             const std::string& where, size_t num_slots) {
+  if (img.size() != vms.size()) {
+    return Mismatch(where + " VM count");
   }
-  if (vm.config_.num_vcpus != want.num_vcpus ||
-      vm.num_vcpus() != static_cast<int>(img.vcpus.size())) {
-    return Mismatch(where + ": vcpu count of '" + name + "'");
-  }
-  if (vm.config_.ram_size != want.ram_size) {
-    return Mismatch(where + ": ram size of '" + name + "'");
-  }
-  if (vm.config_.virtual_el2 != want.virtual_el2 ||
-      vm.config_.expose_neve != want.expose_neve ||
-      vm.config_.guest_vhe != want.guest_vhe) {
-    return Mismatch(where + ": virtualization config of '" + name + "'");
-  }
-  if (vm.id_ != img.id) {
-    return Mismatch(where + ": vm id of '" + name + "'");
-  }
-  if (vm.ram_base_.value != img.ram_base) {
-    return Mismatch(where + ": ram base of '" + name + "'");
-  }
-  if (vm.s2_.root().value != img.s2_root) {
-    return Mismatch(where + ": stage-2 root of '" + name + "'");
-  }
-  for (int i = 0; i < vm.num_vcpus(); ++i) {
-    Vcpu& vc = vm.vcpu(i);
-    const VcpuImage& vi = img.vcpus[static_cast<size_t>(i)];
-    if (vc.vncr_hw_page.value != vi.vncr_hw_page) {
-      return Mismatch(where + ": VNCR page of '" + name + "'");
+  for (size_t k = 0; k < vms.size(); ++k) {
+    Vm& vm = *vms[k];
+    const VmImage& v = img[k];
+    const std::string& name = v.config.name;
+    if (vm.config_.name != name) {
+      return Mismatch(where + ": vm name '" + vm.config_.name + "' vs '" +
+                      name + "'");
     }
-    if (vc.deferred_vector.has_value()) {
-      return Mismatch(where + ": restore target vcpu of '" + name +
-                      "' holds a pending deferred vector call");
+    if (vm.config_.num_vcpus != v.config.num_vcpus ||
+        vm.num_vcpus() != static_cast<int>(v.vcpus.size())) {
+      return Mismatch(where + ": vcpu count of '" + name + "'");
     }
-    if (vi.vregs.size() != static_cast<size_t>(kNumRegIds)) {
-      return Mismatch(where + ": vreg file size of '" + name + "'");
+    if (vm.config_.ram_size != v.config.ram_size) {
+      return Mismatch(where + ": ram size of '" + name + "'");
     }
-    if (vi.loaded_on_pcpu < -1 ||
-        vi.loaded_on_pcpu >= static_cast<int64_t>(num_pcpus)) {
-      return Status::InvalidArgument("snapshot: " + where + " vcpu of '" +
-                                     name + "' loaded on a missing pcpu");
+    if (vm.config_.virtual_el2 != v.config.virtual_el2 ||
+        vm.config_.expose_neve != v.config.expose_neve ||
+        vm.config_.guest_vhe != v.config.guest_vhe) {
+      return Mismatch(where + ": virtualization config of '" + name + "'");
+    }
+    if (vm.id_ != v.id) {
+      return Mismatch(where + ": vm id of '" + name + "'");
+    }
+    if (vm.ram_base_.value != v.ram_base) {
+      return Mismatch(where + ": ram base of '" + name + "'");
+    }
+    if (vm.s2_.root().value != v.s2_root) {
+      return Mismatch(where + ": stage-2 root of '" + name + "'");
+    }
+    for (int i = 0; i < vm.num_vcpus(); ++i) {
+      const Vcpu& vc = vm.vcpu(i);
+      const VcpuImage& vi = v.vcpus[static_cast<size_t>(i)];
+      if (vc.vncr_hw_page.value != vi.vncr_hw_page) {
+        return Mismatch(where + ": VNCR page of '" + name + "'");
+      }
+      if (vc.deferred_vector.has_value()) {
+        return Mismatch(where + ": restore target vcpu of '" + name +
+                        "' holds a pending deferred vector call");
+      }
+      if (vi.run.loaded_on_pcpu < -1 ||
+          vi.run.loaded_on_pcpu >= static_cast<int64_t>(num_slots)) {
+        return Status::InvalidArgument("snapshot: " + where + " vcpu of '" +
+                                       name + "' loaded on a missing pcpu");
+      }
     }
   }
   return Status::Ok();
 }
 
-void Serializer::ApplyVmValues(Vm& vm, const VmImage& img) {
-  vm.dead_ = img.dead;
-  vm.generation_ = img.generation;
-  for (int i = 0; i < vm.num_vcpus(); ++i) {
-    Vcpu& vc = vm.vcpu(i);
-    const VcpuImage& vi = img.vcpus[static_cast<size_t>(i)];
-    vc.mode = vi.mode;
-    vc.main_sw.started = vi.main_started;
-    vc.nested_sw.started = vi.nested_started;
-    vc.nested2_sw.started = vi.nested2_started;
-    vc.active_nested = vi.active_nested ? &vc.nested2_sw : &vc.nested_sw;
-    vc.vel2_handler_active = vi.vel2_handler_active;
-    vc.parked = vi.parked;
-    vc.loaded_on_pcpu = vi.loaded_on_pcpu;
-    vc.nested_is_hyp = vi.nested_is_hyp;
-    vc.nested_hcr = vi.nested_hcr;
-    vc.deferred_vector_active = vi.deferred_vector_active;
-    vc.mmio_retry = vi.mmio_retry;
-    for (const ShadowImage& si : vi.shadows) {
-      // The shadow objects were reconciled before the page rewrite; here we
-      // only point them at their restored trees and counters.
-      ShadowS2& sh = *vc.shadows.at(si.vvttbr);
-      sh.table_.table_.root_ = Pa(si.root);
-      sh.faults_handled_ = si.faults_handled;
-      sh.flushes_ = si.flushes;
-      sh.installed_ = si.installed;
-      sh.virtual_faults_ = si.virtual_faults;
-      sh.host_faults_ = si.host_faults;
+void Serializer::ApplyVms(const Vms& vms, const std::vector<VmImage>& img) {
+  for (size_t k = 0; k < vms.size(); ++k) {
+    Vm& vm = *vms[k];
+    vm.dead_ = img[k].dead;
+    vm.generation_ = img[k].generation;
+    for (int i = 0; i < vm.num_vcpus(); ++i) {
+      Vcpu& vc = vm.vcpu(i);
+      const VcpuImage& vi = img[k].vcpus[static_cast<size_t>(i)];
+      static_cast<VcpuRunState&>(vc) = vi.run;
+      vc.main_sw.started = vi.main_started;
+      vc.nested_sw.started = vi.nested_started;
+      vc.nested2_sw.started = vi.nested2_started;
+      vc.active_nested = vi.active_nested ? &vc.nested2_sw : &vc.nested_sw;
+      for (const ShadowImage& si : vi.shadows) {
+        // The shadow objects were reconciled before the page rewrite; here
+        // we only point them at their restored trees and counters.
+        ShadowS2& sh = *vc.shadows.at(si.vvttbr);
+        sh.table_.table_.root_ = Pa(si.root);
+        sh.counters_ = si.counters;
+      }
+      vc.pending_virq.assign(vi.pending_virq.begin(), vi.pending_virq.end());
+      std::ranges::copy(vi.vregs, vc.vregs_);
     }
-    vc.pending_virq.assign(vi.pending_virq.begin(), vi.pending_virq.end());
-    vc.virqs_enqueued = vi.virqs_enqueued;
-    vc.mmio_result = vi.mmio_result;
-    vc.exits = vi.exits;
-    vc.vel2_deliveries = vi.vel2_deliveries;
-    std::copy(vi.vregs.begin(), vi.vregs.end(), vc.vregs_);
   }
 }
 
@@ -802,6 +762,7 @@ Status Serializer::Apply(const SnapTargets& t, const Image& img) {
                  "snapshot apply needs a machine and a host hypervisor");
   Machine& m = *t.machine;
   HostKvm& h = *t.host;
+  GuestKvm* gk = t.guest_hyp;
 
   // ------------------------------------------------------------------
   // Phase 1: structural verification. Any mismatch returns an error
@@ -821,15 +782,19 @@ Status Serializer::Apply(const SnapTargets& t, const Image& img) {
   if (img.meta.host != h.config_) {
     return Mismatch("host hypervisor config");
   }
-  if (img.guest.present != (t.guest_hyp != nullptr)) {
+  if (img.guest.has_value() != (gk != nullptr)) {
     return Mismatch("guest hypervisor presence");
   }
-  if (img.devs.device_present != (t.device != nullptr) ||
-      img.devs.backend_present != (t.virtio_backend != nullptr) ||
-      img.devs.driver_present != (t.virtio_driver != nullptr)) {
+  if (img.devs.device.has_value() != (t.device != nullptr) ||
+      img.devs.backend.has_value() != (t.virtio_backend != nullptr) ||
+      img.devs.driver.has_value() != (t.virtio_driver != nullptr)) {
     return Mismatch("device presence");
   }
 
+  // Physical pages are compared as indices: a page number shifted into an
+  // address could wrap into range.
+  PhysMem& mem = m.mem_;
+  const uint64_t num_pages = mem.size() >> kPageShift;
   if (img.cpus.size() != static_cast<size_t>(m.num_cpus())) {
     return Mismatch("cpu count");
   }
@@ -842,19 +807,17 @@ Status Serializer::Apply(const SnapTargets& t, const Image& img) {
     if (ci.trap_depth != c.trap_depth_) {
       return Mismatch("cpu " + std::to_string(i) + " trap depth");
     }
-    if (ci.regs.size() != static_cast<size_t>(kNumRegIds)) {
-      return Mismatch("cpu " + std::to_string(i) + " register file size");
-    }
-    if (ci.cycles_by_class.size() !=
-        static_cast<size_t>(CpuTrace::kNumClasses)) {
-      return Mismatch("cpu " + std::to_string(i) + " trace class count");
+    for (const auto& [key, entry] : ci.tlb) {
+      if (entry.pa_page >= num_pages) {
+        return Status::InvalidArgument(
+            "snapshot: TLB entry beyond physical memory");
+      }
     }
   }
 
-  PhysMem& mem = m.mem_;
   for (size_t i = 0; i < img.mem.pages.size(); ++i) {
     uint64_t index = img.mem.pages[i].page_index;
-    if (index >= (mem.size() >> kPageShift)) {
+    if (index >= num_pages) {
       return Status::InvalidArgument(
           "snapshot: resident page beyond physical memory");
     }
@@ -900,192 +863,62 @@ Status Serializer::Apply(const SnapTargets& t, const Image& img) {
     }
   }
 
-  if (img.fault.counts.size() != static_cast<size_t>(kNumFaultPoints)) {
-    return Mismatch("fault point count");
-  }
-
   GicV3& g = m.gic_;
   if (img.gic.ack_info.size() != g.ack_info_.size() ||
       img.gic.virtual_acks.size() != g.virtual_acks_.size() ||
       img.gic.virtual_eois.size() != g.virtual_eois_.size()) {
     return Mismatch("gic shard shape");
   }
-  for (const auto& row : img.gic.ack_info) {
-    if (row.size() != static_cast<size_t>(GicV3::kNumListRegs)) {
-      return Mismatch("gic list-register count");
-    }
-  }
 
-  if (img.host.vms.size() != h.vms_.size()) {
-    return Mismatch("host VM count");
-  }
-  for (size_t i = 0; i < h.vms_.size(); ++i) {
-    NEVE_RETURN_IF_ERROR(ApplyVmStructural(*h.vms_[i], img.host.vms[i],
-                                           "host", h.pcpu_.size()));
-  }
-  if (img.host.pcpu.size() != h.pcpu_.size()) {
-    return Mismatch("pcpu count");
-  }
-  for (size_t i = 0; i < h.pcpu_.size(); ++i) {
-    const PcpuImage& pi = img.host.pcpu[i];
-    Vcpu* want = nullptr;
-    if (pi.current_vm >= 0) {
-      if (static_cast<size_t>(pi.current_vm) >= h.vms_.size()) {
-        return Status::InvalidArgument("snapshot: loaded-vcpu VM out of range");
+  const HostImage& hi = img.host;
+  NEVE_RETURN_IF_ERROR(VerifyVms(h.vms_, hi.vms, "host", h.pcpu_.size()));
+  // The host's shadow roots are machine addresses (a guest hypervisor's
+  // are IPAs, whose translation confines a bad one to its VM).
+  for (const VmImage& v : hi.vms) {
+    for (const VcpuImage& vi : v.vcpus) {
+      for (const ShadowImage& s : vi.shadows) {
+        if ((s.root >> kPageShift) >= num_pages) {
+          return Status::InvalidArgument(
+              "snapshot: shadow stage-2 root beyond physical memory");
+        }
       }
-      Vm& vm = *h.vms_[static_cast<size_t>(pi.current_vm)];
-      if (pi.current_vcpu < 0 || pi.current_vcpu >= vm.num_vcpus()) {
-        return Status::InvalidArgument(
-            "snapshot: loaded-vcpu index out of range");
-      }
-      want = &vm.vcpu(pi.current_vcpu);
     }
-    if (h.pcpu_[i].current != want) {
-      return Mismatch("loaded vcpu identity on pcpu " + std::to_string(i));
-    }
-    if (pi.lrs_loaded < 0 || pi.lrs_loaded > g.num_list_regs()) {
+  }
+  NEVE_RETURN_IF_ERROR(VerifySlots(h.vms_, h.pcpu_,
+                                   &HostKvm::PcpuState::current, hi.slots,
+                                   "pcpu"));
+  for (const SlotImage<HostKvm::PcpuContext>& s : hi.slots) {
+    if (s.ctx.lrs_loaded < 0 || s.ctx.lrs_loaded > g.num_list_regs()) {
       return Status::InvalidArgument(
           "snapshot: loaded list-register count out of range");
     }
   }
-  if (img.host.vcpu_state.size() != h.vms_.size()) {
-    return Mismatch("host vcpu-state shape");
-  }
-  for (size_t i = 0; i < h.vms_.size(); ++i) {
-    if (img.host.vcpu_state[i].size() !=
-        static_cast<size_t>(h.vms_[i]->num_vcpus())) {
-      return Mismatch("host vcpu-state row shape");
-    }
-  }
-
-  GuestKvm* gk = t.guest_hyp;
+  NEVE_RETURN_IF_ERROR(VerifyRows(h.vms_, hi.vcpu_state, "host"));
   if (gk != nullptr) {
-    if (img.guest.vms.size() != gk->vms_.size()) {
-      return Mismatch("nested VM count");
-    }
-    for (size_t i = 0; i < gk->vms_.size(); ++i) {
-      NEVE_RETURN_IF_ERROR(ApplyVmStructural(*gk->vms_[i], img.guest.vms[i],
-                                             "guest", gk->pvcpu_.size()));
-    }
-    if (img.guest.pvcpu.size() != gk->pvcpu_.size()) {
-      return Mismatch("pvcpu count");
-    }
-    for (size_t i = 0; i < gk->pvcpu_.size(); ++i) {
-      const PvcpuImage& pi = img.guest.pvcpu[i];
-      Vcpu* want = nullptr;
-      if (pi.running_vm >= 0) {
-        if (static_cast<size_t>(pi.running_vm) >= gk->vms_.size()) {
-          return Status::InvalidArgument(
-              "snapshot: running nested-vcpu VM out of range");
-        }
-        Vm& vm = *gk->vms_[static_cast<size_t>(pi.running_vm)];
-        if (pi.running_vcpu < 0 || pi.running_vcpu >= vm.num_vcpus()) {
-          return Status::InvalidArgument(
-              "snapshot: running nested-vcpu index out of range");
-        }
-        want = &vm.vcpu(pi.running_vcpu);
-      }
-      if (gk->pvcpu_[i].running != want) {
-        return Mismatch("running nested vcpu identity on pvcpu " +
-                        std::to_string(i));
-      }
-    }
-    if (img.guest.nstate.size() != gk->vms_.size()) {
-      return Mismatch("nested vcpu-state shape");
-    }
+    const GuestImage& gi = *img.guest;
+    NEVE_RETURN_IF_ERROR(
+        VerifyVms(gk->vms_, gi.vms, "guest", gk->pvcpu_.size()));
+    NEVE_RETURN_IF_ERROR(VerifySlots(gk->vms_, gk->pvcpu_,
+                                     &GuestKvm::PvcpuState::running, gi.slots,
+                                     "pvcpu"));
+    NEVE_RETURN_IF_ERROR(VerifyRows(gk->vms_, gi.vcpu_state, "guest"));
     MutexLock lock(gk->nstate_mu_);
-    for (size_t i = 0; i < gk->vms_.size(); ++i) {
-      Vm& vm = *gk->vms_[i];
-      if (img.guest.nstate[i].size() !=
-          static_cast<size_t>(vm.num_vcpus())) {
-        return Mismatch("nested vcpu-state row shape");
-      }
-      for (int j = 0; j < vm.num_vcpus(); ++j) {
-        auto it = gk->nstate_.find(&vm.vcpu(j));
-        if (it != gk->nstate_.end() && it->second->rec != nullptr) {
-          return Status::Unimplemented(
-              "snapshot: restore target holds live recursive-nesting state");
-        }
-      }
+    if (std::ranges::any_of(gk->nstate_, [](const auto& kv) {
+          return kv.second->rec != nullptr;
+        })) {
+      return Status::Unimplemented(
+          "snapshot: restore target holds live recursive-nesting state");
     }
   }
 
   // ------------------------------------------------------------------
-  // Phase 2: shadow-object and context-slot reconstruction. ShadowS2
-  // construction allocates (and zeroes) a root page through the target's
-  // allocators, so it MUST precede both the page rewrite (which replaces the
-  // whole resident set, dropping those transient pages) and the cursor
-  // restore (which rewinds the allocators to the captured positions).
+  // Phase 2: shadow-object reconstruction (ReconcileShadows says why it
+  // comes first).
   // ------------------------------------------------------------------
-  auto reconcile_shadows = [](Vcpu& vc, const VcpuImage& vi, MemIo* smem,
-                              PageAllocator* salloc, FaultInjector* fault) {
-    for (auto it = vc.shadows.begin(); it != vc.shadows.end();) {
-      const uint64_t key = it->first;
-      const bool keep =
-          std::any_of(vi.shadows.begin(), vi.shadows.end(),
-                      [key](const ShadowImage& s) { return s.vvttbr == key; });
-      it = keep ? std::next(it) : vc.shadows.erase(it);
-    }
-    for (const ShadowImage& s : vi.shadows) {
-      std::unique_ptr<ShadowS2>& slot = vc.shadows[s.vvttbr];
-      if (slot == nullptr) {
-        slot = std::make_unique<ShadowS2>(smem, salloc);
-        slot->SetFaultInjector(fault);
-      }
-    }
-  };
-  for (size_t i = 0; i < h.vms_.size(); ++i) {
-    Vm& vm = *h.vms_[i];
-    for (int j = 0; j < vm.num_vcpus(); ++j) {
-      reconcile_shadows(vm.vcpu(j),
-                        img.host.vms[i].vcpus[static_cast<size_t>(j)],
-                        &m.mem(), &m.host_pool(), &m.fault());
-    }
-  }
+  ReconcileShadows(h.vms_, hi.vms, &m.mem(), &m.host_pool(), &m.fault());
   if (gk != nullptr) {
-    for (size_t i = 0; i < gk->vms_.size(); ++i) {
-      Vm& vm = *gk->vms_[i];
-      for (int j = 0; j < vm.num_vcpus(); ++j) {
-        reconcile_shadows(vm.vcpu(j),
-                          img.guest.vms[i].vcpus[static_cast<size_t>(j)],
-                          &gk->view_, &gk->table_alloc_, &m.fault());
-      }
-    }
-  }
-  for (size_t i = 0; i < h.vms_.size(); ++i) {
-    Vm& vm = *h.vms_[i];
-    for (int j = 0; j < vm.num_vcpus(); ++j) {
-      const VcpuHostStateImage& si =
-          img.host.vcpu_state[i][static_cast<size_t>(j)];
-      if (si.present) {
-        std::unique_ptr<HostKvm::VcpuHostState>& slot =
-            h.vcpu_state_[&vm.vcpu(j)];
-        if (slot == nullptr) {
-          slot = std::make_unique<HostKvm::VcpuHostState>();
-        }
-      } else {
-        h.vcpu_state_.erase(&vm.vcpu(j));
-      }
-    }
-  }
-  if (gk != nullptr) {
-    MutexLock lock(gk->nstate_mu_);
-    for (size_t i = 0; i < gk->vms_.size(); ++i) {
-      Vm& vm = *gk->vms_[i];
-      for (int j = 0; j < vm.num_vcpus(); ++j) {
-        const NestedVcpuStateImage& si =
-            img.guest.nstate[i][static_cast<size_t>(j)];
-        if (si.present) {
-          std::unique_ptr<GuestKvm::NestedVcpuState>& slot =
-              gk->nstate_[&vm.vcpu(j)];
-          if (slot == nullptr) {
-            slot = std::make_unique<GuestKvm::NestedVcpuState>();
-          }
-        } else {
-          gk->nstate_.erase(&vm.vcpu(j));
-        }
-      }
-    }
+    ReconcileShadows(gk->vms_, img.guest->vms, &gk->view_, &gk->table_alloc_,
+                     &m.fault());
   }
 
   // ------------------------------------------------------------------
@@ -1097,11 +930,11 @@ Status Serializer::Apply(const SnapTargets& t, const Image& img) {
   // ------------------------------------------------------------------
   for (uint64_t index : mem.ResidentPageIndices()) {
     if (!std::ranges::binary_search(img.mem.pages, index, {},
-                                    &PageImage::page_index)) {
+                                    &PageCopy::page_index)) {
       mem.DropPage(index);
     }
   }
-  for (const PageImage& p : img.mem.pages) {
+  for (const PageCopy& p : img.mem.pages) {
     mem.WritePage(p.page_index, p.data.data());
   }
   (void)mem.DrainDirtyPages();
@@ -1117,143 +950,58 @@ Status Serializer::Apply(const SnapTargets& t, const Image& img) {
   if (gk != nullptr) {
     {
       MutexLock lock(gk->table_alloc_.mu_);
-      gk->table_alloc_.next_ = img.guest.table_alloc_next;
+      gk->table_alloc_.next_ = img.guest->table_alloc_next;
     }
-    gk->next_nested_ram_ = img.guest.next_nested_ram;
+    gk->next_nested_ram_ = img.guest->next_nested_ram;
   }
 
   // ------------------------------------------------------------------
-  // Phase 5: value pokes.
+  // Phase 5: values, per-vCPU state slots included.
   // ------------------------------------------------------------------
   for (int i = 0; i < m.num_cpus(); ++i) {
     Cpu& c = m.cpu(i);
     const CpuImage& ci = img.cpus[static_cast<size_t>(i)];
     c.cycles_ = ci.cycles;
-    std::copy(ci.regs.begin(), ci.regs.end(), c.regs_);
+    std::ranges::copy(ci.regs, c.regs_);
     c.watchdog_deadline_ = ci.watchdog_deadline;
     c.trap_tlbi_ = ci.trap_tlbi;
-    CpuTrace& tr = c.trace_;
-    tr.record_details_ = ci.record_details;
-    tr.traps_to_el2_ = ci.traps_to_el2;
-    tr.hvc_traps_ = ci.hvc_traps;
-    tr.sysreg_traps_ = ci.sysreg_traps;
-    tr.eret_traps_ = ci.eret_traps;
-    tr.abort_traps_ = ci.abort_traps;
-    tr.irq_exits_ = ci.irq_exits;
-    tr.records_ = ci.records;
-    std::copy(ci.cycles_by_class.begin(), ci.cycles_by_class.end(),
-              tr.cycles_by_class_.begin());
+    c.trace_ = ci.trace;
     c.tlb_.clear();
-    for (const TlbEntryImage& te : ci.tlb) {
-      c.tlb_[Cpu::TlbKey{.va_page = te.va_page,
-                         .s1_root = te.s1_root,
-                         .s2_root = te.s2_root}] =
-          Cpu::TlbEntry{.pa_page = te.pa_page, .writable = te.writable};
-    }
+    c.tlb_.insert(ci.tlb.begin(), ci.tlb.end());
     // Re-key the resolution cache against the restored HCR/VNCR values; the
     // cache itself is cycle-invisible and rebuilds warm banks on demand.
     c.InvalidateResolutionsFor(RegId::kHCR_EL2);
   }
 
-  for (size_t i = 0; i < g.ack_info_.size(); ++i) {
-    for (size_t j = 0; j < static_cast<size_t>(GicV3::kNumListRegs); ++j) {
-      const LrAckImage& a = img.gic.ack_info[i][j];
-      g.ack_info_[i][j] = {.ack_cycles = a.ack_cycles,
-                           .ack_trace_id = a.ack_trace_id,
-                           .valid = a.valid};
-    }
-  }
+  g.ack_info_ = img.gic.ack_info;
   g.virtual_acks_ = img.gic.virtual_acks;
   g.virtual_eois_ = img.gic.virtual_eois;
 
   FaultInjector& f = m.fault_;
-  for (size_t i = 0; i < 4; ++i) {
-    f.rng_.state_[i] = img.fault.rng_state[i];
-  }
-  std::copy(img.fault.counts.begin(), img.fault.counts.end(), f.counts_);
+  std::ranges::copy(img.fault.rng_state, f.rng_.state_);
+  std::ranges::copy(img.fault.counts, f.counts_);
   f.log_ = img.fault.log;
 
-  for (size_t i = 0; i < h.vms_.size(); ++i) {
-    ApplyVmValues(*h.vms_[i], img.host.vms[i]);
-  }
-  for (size_t i = 0; i < h.pcpu_.size(); ++i) {
-    const PcpuImage& pi = img.host.pcpu[i];
-    HostKvm::PcpuState& ps = h.pcpu_[i];
-    // ps.current was verified identical above and is left alone.
-    ps.guest_loaded = pi.guest_loaded;
-    ps.lrs_loaded = pi.lrs_loaded;
-    ps.host_el1 = pi.host_el1;
-    ps.host_ext = pi.host_ext;
-    ps.host_pmu = pi.host_pmu;
-  }
-  for (size_t i = 0; i < h.vms_.size(); ++i) {
-    Vm& vm = *h.vms_[i];
-    for (int j = 0; j < vm.num_vcpus(); ++j) {
-      const VcpuHostStateImage& si =
-          img.host.vcpu_state[i][static_cast<size_t>(j)];
-      if (!si.present) {
-        continue;
-      }
-      HostKvm::VcpuHostState& hs = *h.vcpu_state_.at(&vm.vcpu(j));
-      hs.cur_el1 = si.cur_el1;
-      hs.vel2_exec = si.vel2_exec;
-      hs.ext = si.ext;
-      hs.pmu = si.pmu;
-      hs.elr = si.elr;
-      hs.spsr = si.spsr;
-      hs.timer = si.timer;
-      hs.cntvoff = si.cntvoff;
-    }
-  }
-
+  ApplyVms(h.vms_, hi.vms);
+  ApplySlots(h.pcpu_, hi.slots);  // each current was verified identical
+  ApplyRows(h.vms_, h.vcpu_state_, hi.vcpu_state);
   if (gk != nullptr) {
-    for (size_t i = 0; i < gk->vms_.size(); ++i) {
-      ApplyVmValues(*gk->vms_[i], img.guest.vms[i]);
-    }
-    for (size_t i = 0; i < gk->pvcpu_.size(); ++i) {
-      const PvcpuImage& pi = img.guest.pvcpu[i];
-      GuestKvm::PvcpuState& ps = gk->pvcpu_[i];
-      ps.kernel_el1 = pi.kernel_el1;
-      ps.kernel_ext = pi.kernel_ext;
-      ps.timer = pi.timer;
-    }
+    const GuestImage& gi = *img.guest;
+    ApplyVms(gk->vms_, gi.vms);
+    ApplySlots(gk->pvcpu_, gi.slots);
     MutexLock lock(gk->nstate_mu_);
-    for (size_t i = 0; i < gk->vms_.size(); ++i) {
-      Vm& vm = *gk->vms_[i];
-      for (int j = 0; j < vm.num_vcpus(); ++j) {
-        const NestedVcpuStateImage& si =
-            img.guest.nstate[i][static_cast<size_t>(j)];
-        if (!si.present) {
-          continue;
-        }
-        GuestKvm::NestedVcpuState& ns = *gk->nstate_.at(&vm.vcpu(j));
-        ns.el1 = si.el1;
-        ns.ext = si.ext;
-        ns.pmu = si.pmu;
-        ns.elr = si.elr;
-        ns.spsr = si.spsr;
-      }
-    }
+    ApplyRows(gk->vms_, gk->nstate_, gi.vcpu_state);
   }
 
   if (t.device != nullptr) {
-    t.device->reads_ = img.devs.device_reads;
-    t.device->writes_ = img.devs.device_writes;
-    t.device->last_write_ = img.devs.device_last_write;
+    t.device->state_ = *img.devs.device;
   }
   if (t.virtio_backend != nullptr) {
     MutexLock lock(t.virtio_backend->ring_mu_);
-    t.virtio_backend->last_avail_ = img.devs.last_avail;
-    t.virtio_backend->busy_until_ = img.devs.busy_until;
-    t.virtio_backend->kicks_ = img.devs.kicks;
-    t.virtio_backend->buffers_processed_ = img.devs.buffers_processed;
+    t.virtio_backend->state_ = *img.devs.backend;
   }
   if (t.virtio_driver != nullptr) {
-    t.virtio_driver->avail_idx_ = img.devs.avail_idx;
-    t.virtio_driver->last_used_ = img.devs.last_used;
-    t.virtio_driver->next_desc_ = img.devs.next_desc;
-    t.virtio_driver->kicks_sent_ = img.devs.kicks_sent;
-    t.virtio_driver->posts_ = img.devs.posts;
+    t.virtio_driver->state_ = *img.devs.driver;
   }
 
   // ------------------------------------------------------------------

@@ -30,26 +30,29 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/arch/el.h"
 #include "src/arch/features.h"
 #include "src/base/status.h"
+#include "src/cpu/cpu.h"
 #include "src/cpu/trace.h"
 #include "src/fault/fault.h"
+#include "src/gic/gic.h"
+#include "src/hyp/devices.h"
+#include "src/hyp/guest_kvm.h"
 #include "src/hyp/host_kvm.h"
+#include "src/hyp/virtio.h"
 #include "src/hyp/vm.h"
-#include "src/hyp/world_switch.h"
-#include "src/mem/addr.h"
+#include "src/mem/phys_mem.h"
+#include "src/mem/shadow_s2.h"
 #include "src/obs/attr.h"
 
 namespace neve {
-
-class GuestKvm;
-class VirtioBackend;
-class VirtioDriver;
-
 namespace snap {
 
 // Everything a snapshot reads or writes. machine and host are required; the
@@ -66,113 +69,86 @@ struct SnapTargets {
 
 // ---------------------------------------------------------------------------
 // The in-memory image: pure data, decoded in full before any machine
-// mutation. Where the simulator keeps a field in a public plain struct
-// (contexts, trap records, fault-log entries, attribution buckets and flight
-// records, construction configs), the image holds that struct; the *Image
-// types mirror state the simulator keeps private. Field names mirror the
-// `member_` fields they serialize; the snapshot-coverage lint keys on those
-// tokens appearing in src/snap sources.
+// mutation. It holds the simulator's own structs wherever the simulator
+// keeps the persisted values in one: contexts, trap traces and records,
+// TLB entries, pages, fault-log entries, attribution buckets and flight
+// records, GIC ack rows, shadow and device counters, vCPU run state and
+// construction configs. Each such struct's field list -- the one place
+// besides its declaration that names a field -- is its `Visit` in
+// snapshot.cc, or, for a class whose fields are private (CpuTrace,
+// TrapRecord), its `SnapFields` member next to the declarations. The
+// remaining fields below name the private `member_` fields they carry; the
+// snapshot-coverage lint reads both the SnapFields lists and the src/snap
+// mentions. Every type has a defaulted operator==, so an image survives an
+// Encode/Decode round trip equal (tests/snap_test.cc checks it).
 // ---------------------------------------------------------------------------
-
-struct TlbEntryImage {
-  uint64_t va_page = 0;
-  uint64_t s1_root = 0;
-  uint64_t s2_root = 0;
-  uint64_t pa_page = 0;
-  bool writable = false;
-};
 
 struct CpuImage {
   El el = El::kEl0;    // verified structurally, never overwritten
   int trap_depth = 0;  // verified structurally, never overwritten
   uint64_t cycles = 0;
-  std::vector<uint64_t> regs;  // kNumRegIds entries
+  std::array<uint64_t, kNumRegIds> regs{};
   uint64_t watchdog_deadline = 0;
   bool trap_tlbi = false;
-  bool record_details = false;
-  uint64_t traps_to_el2 = 0;
-  uint64_t hvc_traps = 0;
-  uint64_t sysreg_traps = 0;
-  uint64_t eret_traps = 0;
-  uint64_t abort_traps = 0;
-  uint64_t irq_exits = 0;
-  std::vector<TrapRecord> records;
-  std::vector<uint64_t> cycles_by_class;
-  std::vector<TlbEntryImage> tlb;  // sorted by (va_page, s1_root, s2_root)
-};
-
-struct PageImage {
-  uint64_t page_index = 0;
-  std::array<uint8_t, kPageSize> data{};
+  CpuTrace trace;
+  std::vector<std::pair<Cpu::TlbKey, Cpu::TlbEntry>> tlb;  // sorted by key
+  bool operator==(const CpuImage&) const = default;
 };
 
 struct MemImage {
-  std::vector<PageImage> pages;  // sorted by page_index; the full resident set
-  uint64_t host_pool_next = 0;   // PageAllocator cursor (machine host pool)
-  uint64_t next_guest_ram = 0;   // Machine guest-RAM carve-out cursor
+  std::vector<PageCopy> pages;  // sorted by page_index; the full resident set
+  uint64_t host_pool_next = 0;  // PageAllocator cursor (machine host pool)
+  uint64_t next_guest_ram = 0;  // Machine guest-RAM carve-out cursor
+  bool operator==(const MemImage&) const = default;
 };
 
 struct AttrCpuImage {
   std::vector<uint64_t> stack;  // packed frame keys; verified, not overwritten
   // This CPU's bucket shard, sorted by key for wire determinism.
   std::vector<std::pair<uint64_t, uint64_t>> buckets;
+  bool operator==(const AttrCpuImage&) const = default;
 };
 
 struct AttrImage {
   std::vector<AttrCpuImage> percpu;
   std::vector<CycleAttribution::FlightRecord> flights;
   uint64_t flight_next = 0;
+  bool operator==(const AttrImage&) const = default;
 };
 
 struct FaultImage {
   std::array<uint64_t, 4> rng_state{};
-  std::vector<uint64_t> counts;  // kNumFaultPoints entries
+  std::array<uint64_t, kNumFaultPoints> counts{};
   std::vector<InjectionRecord> log;
-};
-
-struct LrAckImage {
-  uint64_t ack_cycles = 0;
-  uint64_t ack_trace_id = 0;
-  bool valid = false;
+  bool operator==(const FaultImage&) const = default;
 };
 
 struct GicImage {
-  std::vector<std::vector<LrAckImage>> ack_info;  // [cpu][list register]
-  std::vector<uint64_t> virtual_acks;             // per-CPU shards
+  // [cpu][list register]
+  std::vector<std::array<GicV3::LrAckInfo, GicV3::kNumListRegs>> ack_info;
+  std::vector<uint64_t> virtual_acks;  // per-CPU shards
   std::vector<uint64_t> virtual_eois;
+  bool operator==(const GicImage&) const = default;
 };
 
 struct ShadowImage {
   uint64_t vvttbr = 0;  // the map key
   uint64_t root = 0;
-  uint64_t faults_handled = 0;
-  uint64_t flushes = 0;
-  uint64_t installed = 0;
-  uint64_t virtual_faults = 0;
-  uint64_t host_faults = 0;
+  ShadowS2::Counters counters;
+  bool operator==(const ShadowImage&) const = default;
 };
 
 struct VcpuImage {
-  VcpuMode mode = VcpuMode::kGuest;
-  bool main_started = false;
+  VcpuRunState run;
+  bool main_started = false;  // the software slots' started bits
   bool nested_started = false;
   bool nested2_started = false;
   bool active_nested = false;  // false = nested_sw, true = nested2_sw
-  bool vel2_handler_active = false;
-  bool parked = false;
-  int loaded_on_pcpu = -1;
-  bool nested_is_hyp = false;
-  uint64_t nested_hcr = 0;
-  bool deferred_vector_active = false;
-  bool mmio_retry = false;
   std::vector<ShadowImage> shadows;  // sorted by vvttbr (std::map order)
   uint64_t vncr_hw_page = 0;         // verified structurally
   std::vector<uint32_t> pending_virq;
-  uint64_t virqs_enqueued = 0;
-  uint64_t mmio_result = 0;
-  uint64_t exits = 0;
-  uint64_t vel2_deliveries = 0;
-  std::vector<uint64_t> vregs;  // kNumRegIds entries
+  std::array<uint64_t, kNumRegIds> vregs{};
+  bool operator==(const VcpuImage&) const = default;
 };
 
 struct VmImage {
@@ -186,79 +162,45 @@ struct VmImage {
   bool dead = false;
   uint64_t generation = 0;
   std::vector<VcpuImage> vcpus;
+  bool operator==(const VmImage&) const = default;
 };
 
-struct VcpuHostStateImage {
-  bool present = false;  // the host creates these lazily; absent stays absent
-  El1Context cur_el1;
-  El1Context vel2_exec;
-  ExtEl1Context ext;
-  PmuDebugContext pmu;
-  uint64_t elr = 0;
-  uint64_t spsr = 0;
-  TimerContext timer;
-  uint64_t cntvoff = 0;
+// One (v)CPU slot of a hypervisor level: the vCPU loaded on it as (vm
+// index, vcpu id), verified against the target, and the context that
+// travels.
+template <class Context>
+struct SlotImage {
+  int vm = -1;
+  int vcpu = -1;
+  Context ctx;
+  bool operator==(const SlotImage&) const = default;
 };
 
-struct PcpuImage {
-  int current_vm = -1;  // (vm index, vcpu id); verified against target
-  int current_vcpu = -1;
-  bool guest_loaded = false;
-  int lrs_loaded = 0;
-  El1Context host_el1;
-  ExtEl1Context host_ext;
-  PmuDebugContext host_pmu;
-};
-
-struct HostImage {
+// What the host and the guest hypervisor have alike: VMs, (v)CPU slots, and
+// per-vCPU state that the level creates on first use, indexed [vm][vcpu]
+// over `vms` (absent stays absent on restore).
+template <class Context, class VcpuState>
+struct LevelImage {
   std::vector<VmImage> vms;
-  std::vector<PcpuImage> pcpu;
-  // Host-side per-vcpu contexts, indexed [vm][vcpu] over the vms above.
-  std::vector<std::vector<VcpuHostStateImage>> vcpu_state;
+  std::vector<SlotImage<Context>> slots;
+  std::vector<std::vector<std::optional<VcpuState>>> vcpu_state;
+  bool operator==(const LevelImage&) const = default;
 };
 
-struct NestedVcpuStateImage {
-  bool present = false;
-  El1Context el1;
-  ExtEl1Context ext;
-  PmuDebugContext pmu;
-  uint64_t elr = 0;
-  uint64_t spsr = 0;
-};
+using HostImage = LevelImage<HostKvm::PcpuContext, HostKvm::VcpuHostState>;
 
-struct PvcpuImage {
-  int running_vm = -1;  // nested (vm index, vcpu id); verified
-  int running_vcpu = -1;
-  El1Context kernel_el1;
-  ExtEl1Context kernel_ext;
-  TimerContext timer;
-};
-
-struct GuestImage {
-  bool present = false;  // nested stacks only
+struct GuestImage
+    : LevelImage<GuestKvm::PvcpuContext, GuestKvm::NestedContext> {
   uint64_t table_alloc_next = 0;
   uint64_t next_nested_ram = 0;
-  std::vector<VmImage> vms;
-  std::vector<PvcpuImage> pvcpu;
-  std::vector<std::vector<NestedVcpuStateImage>> nstate;  // [vm][vcpu]
+  bool operator==(const GuestImage&) const = default;
 };
 
 struct DevImage {
-  bool device_present = false;
-  uint64_t device_reads = 0;
-  uint64_t device_writes = 0;
-  uint64_t device_last_write = 0;
-  bool backend_present = false;
-  uint64_t last_avail = 0;
-  uint64_t busy_until = 0;
-  uint64_t kicks = 0;
-  uint64_t buffers_processed = 0;
-  bool driver_present = false;
-  uint64_t avail_idx = 0;
-  uint64_t last_used = 0;
-  int next_desc = 0;
-  uint64_t kicks_sent = 0;
-  uint64_t posts = 0;
+  std::optional<TestDevice::State> device;
+  std::optional<VirtioBackend::State> backend;
+  std::optional<VirtioDriver::State> driver;
+  bool operator==(const DevImage&) const = default;
 };
 
 struct MetaImage {
@@ -271,6 +213,7 @@ struct MetaImage {
   uint64_t ipi_wire_latency = 0;
   ArchFeatures features;
   HostKvmConfig host;
+  bool operator==(const MetaImage&) const = default;
 };
 
 struct Image {
@@ -281,8 +224,9 @@ struct Image {
   FaultImage fault;
   GicImage gic;
   HostImage host;
-  GuestImage guest;
+  std::optional<GuestImage> guest;  // nested stacks only
   DevImage devs;
+  bool operator==(const Image&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -313,24 +257,29 @@ class Serializer {
   // Two-phase apply: verifies every structural invariant first (configs,
   // table roots, frame stacks, loaded-vcpu identity -- any mismatch is an
   // error Status, never a Panic) and every restored value the target later
-  // uses as an index (InvalidArgument when out of range), then mutates in
-  // dependency order: shadow object reconstruction, physical page rewrite,
-  // allocator cursors, value pokes, attribution rebuild. On a verification
-  // error the target may have been left untouched or partially verified but
-  // never partially written.
+  // uses as an index or a physical page (InvalidArgument when out of
+  // range), then mutates in dependency order: shadow object reconstruction
+  // (a ShadowS2 allocates a simulated root page), physical page rewrite,
+  // allocator cursors, values (per-vCPU state slots are created and dropped
+  // here: they allocate no simulated page), attribution rebuild. Sizes of
+  // fixed-size fields need no check: their std::array types hold them, and
+  // Decode rejects a stream with any other count. On a verification error
+  // the target may have been left untouched or partially verified but never
+  // partially written.
   static Status Apply(const SnapTargets& t, const Image& img);
 
   // Capture, then Encode.
   static Status CaptureBytes(const SnapTargets& t, std::vector<uint8_t>* out);
 
  private:
-  // The per-VM parts of Capture and Apply, shared by the host's and the guest
+  // The VM parts of Capture and Apply, shared by the host's and the guest
   // hypervisor's VMs. They are members because they read and write Vm's
   // private fields.
-  static Status CaptureVm(Vm& vm, VmImage* out);
-  static Status ApplyVmStructural(Vm& vm, const VmImage& img,
-                                  const std::string& where, size_t num_pcpus);
-  static void ApplyVmValues(Vm& vm, const VmImage& img);
+  using Vms = std::vector<std::unique_ptr<Vm>>;
+  static Status CaptureVms(const Vms& vms, std::vector<VmImage>* out);
+  static Status VerifyVms(const Vms& vms, const std::vector<VmImage>& img,
+                          const std::string& where, size_t num_slots);
+  static void ApplyVms(const Vms& vms, const std::vector<VmImage>& img);
 };
 
 }  // namespace snap

@@ -15,7 +15,10 @@
 //   U8 / U32 / I32 (field)        fixed-width integer, converted from and to
 //                                 the field's own type (bool, enum, int, ...)
 //   U64, Str, Bytes               u64; u64 length + bytes; raw bytes
-//   Vec(v, min_elem_bytes, fn)    u64 count, then fn(element) for each one
+//   Vec(v, min_elem_bytes, fn)    u64 count, then fn(element) for each one;
+//                                 a std::array (a register file, a fixed
+//                                 table) travels the same way, and Decode
+//                                 requires its exact count
 //   Section(tag, fn)              one digest-protected section around fn()
 //
 // The Reader bounds-checks every read and keeps its first error; every read
@@ -35,6 +38,7 @@
 #ifndef NEVE_SRC_SNAP_WIRE_H_
 #define NEVE_SRC_SNAP_WIRE_H_
 
+#include <array>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
@@ -235,6 +239,22 @@ class Reader {
       return;
     }
     v.resize(n);
+    for (auto& e : v) {
+      fn(e);
+    }
+  }
+  // A fixed-size field: the same bytes as a counted vector, but any count
+  // other than N is corruption.
+  template <class T, size_t N, class Fn>
+  void Vec(std::array<T, N>& v, uint64_t /*min_elem_bytes*/, Fn fn) {
+    const uint64_t n = ReadLe(8);
+    if (ok() && n != N) {
+      Fail(Status::InvalidArgument("snapshot: wrong count for a fixed-size "
+                                   "field"));
+    }
+    if (!ok()) {
+      return;
+    }
     for (auto& e : v) {
       fn(e);
     }

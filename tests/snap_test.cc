@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -25,6 +26,7 @@
 #include "src/snap/migrate.h"
 #include "src/snap/snap_stack.h"
 #include "src/snap/snapshot.h"
+#include "src/snap/wire.h"
 #include "src/workload/microbench.h"
 
 namespace neve {
@@ -134,7 +136,8 @@ TEST(SnapTest, EncodeIsByteDeterministic) {
 }
 
 // Pins the wire encoding: byte count and digest of the stream each stack
-// configuration captures, plus Encode(Decode(bytes)) == bytes. To update after
+// configuration captures, plus Encode(Decode(bytes)) == bytes and
+// Decode(Encode(img)) == img. To update after
 // an intentional format change, copy the "actual" JSON from the failure
 // message into tests/golden/snapshot_encoding.json.
 std::string ActualEncodingJson() {
@@ -173,6 +176,10 @@ std::string ActualEncodingJson() {
     EXPECT_TRUE(st.ok()) << c.name << ": " << st.ToString();
     EXPECT_TRUE(Serializer::Encode(decoded) == bytes)
         << c.name << ": Encode(Decode(bytes)) != bytes";
+    // The image holds whole simulator structs: a field missing from a
+    // struct's field list would survive an in-process restore but not the
+    // wire.
+    EXPECT_TRUE(decoded == img) << c.name << ": Decode(Encode(img)) != img";
     Digest d;
     d.Mix(std::string_view(reinterpret_cast<const char*>(bytes.data()),
                            bytes.size()));
@@ -268,6 +275,28 @@ TEST(SnapTest, DecodeRejectsDamagedStreams) {
   EXPECT_THAT(st.message(), HasSubstr("trailing"));
 }
 
+// A fixed-size field (register files, GIC ack rows, fault counters) decodes
+// only at its exact count, so no image of the wrong size reaches Apply.
+TEST(SnapTest, DecodeRejectsFixedSizeFieldOfWrongCount) {
+  for (size_t count : {3u, 4u, 5u}) {
+    Writer w;
+    std::vector<uint64_t> v(count, 7);
+    w.Section(kSecMeta, [&] { w.Vec(v, 8, [&w](uint64_t x) { w.U64(x); }); });
+    const std::vector<uint8_t> bytes = w.Finish();
+    Reader r(bytes);
+    r.Header();
+    std::array<uint64_t, 4> a{};
+    r.Section(kSecMeta,
+              [&] { r.Vec(a, 8, [&r](uint64_t& x) { r.U64(x); }); });
+    if (count == a.size()) {
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(a[3], 7u);
+    } else {
+      EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument) << count;
+    }
+  }
+}
+
 TEST(SnapTest, ApplyRejectsStructuralMismatchWithoutPanicking) {
   // A NEVE nested snapshot must not apply to a plain-VM stack: phase-1
   // structural verification fails with an error Status before any mutation.
@@ -336,8 +365,10 @@ TEST(SnapTest, ApplyRejectsOutOfRangeIndicesWithoutPanicking) {
   SnapRunner source(spec);
   ASSERT_TRUE(source.Run(cap).ok());
   ASSERT_FALSE(img.host.vms.empty());
-  ASSERT_FALSE(img.guest.vms.empty());
+  ASSERT_FALSE(img.guest->vms.empty());
   ASSERT_FALSE(img.attr.percpu[0].buckets.empty());
+  ASSERT_FALSE(img.cpus[0].tlb.empty());
+  ASSERT_FALSE(img.host.vms[0].vcpus[0].shadows.empty());
 
   struct Bad {
     std::string what;  // expected in the error message
@@ -348,11 +379,22 @@ TEST(SnapTest, ApplyRejectsOutOfRangeIndicesWithoutPanicking) {
     bad.push_back({what, img});
     mutate(bad.back().image);
   };
-  add("list-register", [](Image& b) { b.host.pcpu[0].lrs_loaded = 1000; });
-  add("list-register", [](Image& b) { b.host.pcpu[0].lrs_loaded = -1; });
-  add("host vcpu", [](Image& b) { b.host.vms[0].vcpus[0].loaded_on_pcpu = 7; });
+  add("list-register",
+      [](Image& b) { b.host.slots[0].ctx.lrs_loaded = 1000; });
+  add("list-register", [](Image& b) { b.host.slots[0].ctx.lrs_loaded = -1; });
+  add("host vcpu",
+      [](Image& b) { b.host.vms[0].vcpus[0].run.loaded_on_pcpu = 7; });
   add("guest vcpu",
-      [](Image& b) { b.guest.vms[0].vcpus[0].loaded_on_pcpu = 7; });
+      [](Image& b) { b.guest->vms[0].vcpus[0].run.loaded_on_pcpu = 7; });
+  // A TLB page past the end of memory panicked the resumed run; 1 << 52
+  // wrapped when shifted and diverged silently.
+  add("TLB entry",
+      [](Image& b) { b.cpus[0].tlb[0].second.pa_page = 1ull << 40; });
+  add("TLB entry",
+      [](Image& b) { b.cpus[0].tlb[0].second.pa_page = 1ull << 52; });
+  add("shadow stage-2 root", [](Image& b) {
+    b.host.vms[0].vcpus[0].shadows[0].root = 1ull << 45;
+  });
   add("flight-recorder", [](Image& b) {
     b.attr.flight_next = CycleAttribution::kFlightCapacity;
   });

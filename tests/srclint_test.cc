@@ -520,6 +520,55 @@ TEST(SrcLintTest, SerializedFieldPassesSnapshotCoverage) {
   EXPECT_EQ(Find(d, "snapshot-coverage"), nullptr);
 }
 
+// A class whose private fields the serializer encodes through the class's
+// own hook, as CpuTrace does.
+const char kListedHeader[] =
+    "class Trace {\n"
+    " public:\n"
+    "  template <class Ar>\n"
+    "  void SnapFields(Ar& ar) {\n"
+    "    ar.U64(hits_);\n"
+    "  }\n"
+    " private:\n"
+    "  uint64_t hits_ = 0;\n";
+
+TEST(SrcLintTest, FieldInItsSnapFieldsListPassesSnapshotCoverage) {
+  std::vector<Diagnostic> d =
+      LintSources({{"src/snap/snapshot.cc", snapcov::kSnapSource},
+                   {"src/cpu/trace.h", std::string(kListedHeader) + "};\n"}});
+  EXPECT_EQ(Find(d, "snapshot-coverage"), nullptr);
+}
+
+TEST(SrcLintTest, FieldLeftOutOfSnapFieldsListIsFlagged) {
+  std::vector<Diagnostic> d = LintSources(
+      {{"src/snap/snapshot.cc", snapcov::kSnapSource},
+       {"src/cpu/trace.h",
+        std::string(kListedHeader) + "  uint64_t misses_ = 0;\n};\n"}});
+  const Diagnostic* diag = Find(d, "snapshot-coverage");
+  ASSERT_NE(diag, nullptr);
+  EXPECT_EQ(diag->line, 9);
+  EXPECT_NE(diag->message.find("misses_"), std::string::npos);
+}
+
+TEST(SrcLintTest, SnapFieldsCallIsNotAFieldList) {
+  // The call's argument list is followed by a block that names spare_; only
+  // a definition's body is a list.
+  std::vector<Diagnostic> d = LintSources(
+      {{"src/snap/snapshot.cc", snapcov::kSnapSource},
+       {"src/cpu/cpu.h",
+        "class C {\n"
+        "  uint64_t spare_ = 0;\n"
+        "  void Save(Ar& ar) {\n"
+        "    trace_.SnapFields(ar);\n"
+        "    if (ar.ok()) { ar.U64(spare_); }\n"
+        "  }\n"
+        "};\n"}});
+  const Diagnostic* diag = Find(d, "snapshot-coverage");
+  ASSERT_NE(diag, nullptr);
+  EXPECT_EQ(diag->line, 2);
+  EXPECT_NE(diag->message.find("spare_"), std::string::npos);
+}
+
 TEST(SrcLintTest, NotSnapshottedAnnotationJustifiesAField) {
   std::vector<Diagnostic> d = LintSources(
       {{"src/snap/snapshot.cc", snapcov::kSnapSource},

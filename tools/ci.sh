@@ -151,12 +151,10 @@ run_tsan() {
 # archlint's full resolution matrix dumped with the cache on and off.
 run_smoke() {
   local build_dir="$ROOT/build-ci-release"
-  if [[ ! -x "$build_dir/bench/simcore_gbench" ||
-        ! -x "$build_dir/tools/perf_ratchet" ]]; then
-    echo "==> [smoke] configure + build (Release)"
-    cmake -B "$build_dir" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release >/dev/null
-    cmake --build "$build_dir" -j "$JOBS" >/dev/null
-  fi
+  echo "==> [smoke] configure + build (Release)"
+  cmake -B "$build_dir" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "$build_dir" -j "$JOBS" --target \
+    simcore_gbench perf_ratchet bench_json_check archlint >/dev/null
   echo "==> [smoke] simcore_gbench -> BENCH_simcore.json"
   "$build_dir/bench/simcore_gbench" --json="$ROOT/BENCH_simcore.json" \
     >/dev/null
@@ -188,18 +186,16 @@ run_chaos() {
   local campaigns="${CHAOS_CAMPAIGNS:-50}"
   for name in asan ubsan; do
     local build_dir="$ROOT/build-ci-$name"
-    if [[ ! -x "$build_dir/tools/chaos" ]]; then
-      echo "==> [chaos/$name] configure + build"
-      case "$name" in
-        asan)  cmake -B "$build_dir" -S "$ROOT" \
-                 -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-                 "-DNEVE_SANITIZE=address" >/dev/null ;;
-        ubsan) cmake -B "$build_dir" -S "$ROOT" \
-                 -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-                 "-DNEVE_SANITIZE=undefined" >/dev/null ;;
-      esac
-      cmake --build "$build_dir" -j "$JOBS" --target chaos >/dev/null
-    fi
+    echo "==> [chaos/$name] configure + build"
+    case "$name" in
+      asan)  cmake -B "$build_dir" -S "$ROOT" \
+               -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+               "-DNEVE_SANITIZE=address" >/dev/null ;;
+      ubsan) cmake -B "$build_dir" -S "$ROOT" \
+               -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+               "-DNEVE_SANITIZE=undefined" >/dev/null ;;
+    esac
+    cmake --build "$build_dir" -j "$JOBS" --target chaos >/dev/null
     echo "==> [chaos/$name] $campaigns campaigns per config"
     bash "$ROOT/tools/chaos.sh" "$build_dir" "$campaigns"
     echo "==> [chaos/$name] OK"
@@ -217,19 +213,16 @@ run_migrate() {
   local runs="${MIGRATE_RUNS:-9}"   # per config, x5 configs => >= 40 runs
   for name in release asan; do
     local build_dir="$ROOT/build-ci-$name"
-    if [[ ! -x "$build_dir/tools/chaos" ||
-          ! -x "$build_dir/bench/migrate_downtime" ]]; then
-      echo "==> [migrate/$name] configure + build"
-      case "$name" in
-        release) cmake -B "$build_dir" -S "$ROOT" \
-                   -DCMAKE_BUILD_TYPE=Release >/dev/null ;;
-        asan)    cmake -B "$build_dir" -S "$ROOT" \
-                   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-                   "-DNEVE_SANITIZE=address" >/dev/null ;;
-      esac
-      cmake --build "$build_dir" -j "$JOBS" \
-        --target chaos migrate_downtime bench_json_check >/dev/null
-    fi
+    echo "==> [migrate/$name] configure + build"
+    case "$name" in
+      release) cmake -B "$build_dir" -S "$ROOT" \
+                 -DCMAKE_BUILD_TYPE=Release >/dev/null ;;
+      asan)    cmake -B "$build_dir" -S "$ROOT" \
+                 -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+                 "-DNEVE_SANITIZE=address" >/dev/null ;;
+    esac
+    cmake --build "$build_dir" -j "$JOBS" \
+      --target chaos migrate_downtime bench_json_check >/dev/null
     echo "==> [migrate/$name] $runs migration campaigns per config"
     "$build_dir/tools/chaos" --mode=migrate --campaigns="$runs"
     echo "==> [migrate/$name] OK"
@@ -249,11 +242,9 @@ run_fuzz() {
   local runs="${FUZZ_RUNS:-10000}"
   local seed="${FUZZ_SEED:-$(date -u +%Y%m%d)}"
   local build_dir="$ROOT/build-ci-release"
-  if [[ ! -x "$build_dir/tools/stackfuzz" ]]; then
-    echo "==> [fuzz] configure + build (Release)"
-    cmake -B "$build_dir" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release >/dev/null
-    cmake --build "$build_dir" -j "$JOBS" --target stackfuzz >/dev/null
-  fi
+  echo "==> [fuzz] configure + build (Release)"
+  cmake -B "$build_dir" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "$build_dir" -j "$JOBS" --target stackfuzz >/dev/null
   echo "==> [fuzz] replay regression corpus"
   "$build_dir/tools/stackfuzz" --replay="$ROOT/tests/corpus" --threads="$JOBS"
   echo "==> [fuzz] determinism: report/corpus identical across --threads"
