@@ -296,11 +296,12 @@ std::vector<Token> MemberTokens(std::string_view s) {
 }
 
 // True when the token at [pos, pos+len) reads as a member *declaration*: a
-// type-ish token (identifier, '*', '&', '>') precedes it on its own line --
-// an assignment statement starts with the member itself -- and one of ';',
-// '=', '{', '[' or a GUARDED_BY annotation follows. Heuristic by design:
-// srclint is flow-light string matching, and the naming convention plus
-// these shape checks pin down the cases that occur in practice.
+// type-ish token (identifier, '*', '&', a template's '>') precedes it on its
+// own line -- an assignment statement starts with the member itself or its
+// `obj.`/`ptr->` path -- and one of ';', '=', '{', '[' or a GUARDED_BY
+// annotation follows. Heuristic by design: srclint is flow-light string
+// matching, and the naming convention plus these shape checks pin down the
+// cases that occur in practice.
 bool IsDeclSite(std::string_view s, size_t pos, size_t len) {
   size_t bol = s.rfind('\n', pos);
   bol = (bol == std::string_view::npos) ? 0 : bol + 1;
@@ -317,6 +318,9 @@ bool IsDeclSite(std::string_view s, size_t pos, size_t len) {
   }
   if (prev == '&' && p >= 2 && s[p - 2] == '&') {
     return false;  // `a && b_` is an expression, not `T& b_`
+  }
+  if (prev == '>' && p >= 2 && s[p - 2] == '-') {
+    return false;  // `ptr->b_` is a member access, not `T<U> b_`
   }
   // Walk back over pointer/reference decoration to the type-ish token, so
   // `return *ptr_;` is recognized as a dereference, not a `T* ptr_;` decl.

@@ -11,7 +11,11 @@
 #ifndef NEVE_SRC_ARCH_ESR_H_
 #define NEVE_SRC_ARCH_ESR_H_
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "src/arch/sysreg.h"
@@ -20,44 +24,41 @@ namespace neve {
 
 // Exception class, values matching the AArch64 ESR.EC encodings.
 enum class Ec : uint8_t {
-  kUnknown = 0x00,
-  kWfx = 0x01,
-  kHvc64 = 0x16,
-  kSmc64 = 0x17,
-  kSysReg = 0x18,      // trapped MSR/MRS
-  kTlbi = 0x19,        // trapped TLB maintenance (HCR_EL2.TTLB-style)
-  kEretTrap = 0x1A,    // ARMv8.3-NV: trapped eret from EL1
-  kInstAbortLow = 0x20,
-  kDataAbortLow = 0x24,
-  kIrq = 0x80,         // not an ESR EC; marker for asynchronous interrupts
+#define NEVE_EC(id, value, name, detect, attribution, trace) id = value,
+#include "src/arch/ec_defs.inc"
+#undef NEVE_EC
 };
 
+// Each ec_defs.inc row's name, then the catch-all row's.
+inline constexpr const char* kEcRowNames[] = {
+#define NEVE_EC(id, value, name, detect, attribution, trace) name,
+#include "src/arch/ec_defs.inc"
+#undef NEVE_EC
+    "EC?"};
+inline constexpr size_t kNumEcRows = std::size(kEcRowNames) - 1;
+
+// The row of each of the 256 values, the catch-all's for a value with no
+// row: a decoded snapshot's trap record may carry any byte.
+inline constexpr std::array<uint8_t, 256> kEcRowIndex = [] {
+  std::array<uint8_t, 256> index{};
+  index.fill(kNumEcRows);
+  uint8_t row = 0;
+#define NEVE_EC(id, value, name, detect, attribution, trace) \
+  index[value] = row++;
+#include "src/arch/ec_defs.inc"
+#undef NEVE_EC
+  return index;
+}();
+// Every row's value maps back to its own row: two rows with one value would
+// leave fewer than kNumEcRows values mapped, silently sharing a row.
+static_assert(std::count(kEcRowIndex.begin(), kEcRowIndex.end(), kNumEcRows) ==
+                  256 - kNumEcRows,
+              "two ec_defs.inc rows share one ESR.EC value");
+
+constexpr size_t EcRow(Ec ec) { return kEcRowIndex[static_cast<uint8_t>(ec)]; }
+
 // Inline: every trap names its trace span with it, observed or not.
-constexpr const char* EcName(Ec ec) {
-  switch (ec) {
-    case Ec::kUnknown:
-      return "UNKNOWN";
-    case Ec::kWfx:
-      return "WFX";
-    case Ec::kHvc64:
-      return "HVC64";
-    case Ec::kSmc64:
-      return "SMC64";
-    case Ec::kSysReg:
-      return "SYSREG";
-    case Ec::kTlbi:
-      return "TLBI";
-    case Ec::kEretTrap:
-      return "ERET";
-    case Ec::kInstAbortLow:
-      return "IABT_LOW";
-    case Ec::kDataAbortLow:
-      return "DABT_LOW";
-    case Ec::kIrq:
-      return "IRQ";
-  }
-  return "EC?";
-}
+constexpr const char* EcName(Ec ec) { return kEcRowNames[EcRow(ec)]; }
 
 // Decoded syndrome for an exception taken to EL2 (or emulated into a virtual
 // EL2 by the host hypervisor).

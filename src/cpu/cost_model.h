@@ -4,8 +4,8 @@
 // paper's own measurements on ARMv8.0 server hardware --
 //   - trapping EL1 -> EL2 costs 68-76 cycles regardless of the trapping
 //     instruction class (section 5); we use a 72-cycle base plus a small
-//     per-class detect delta (DetectFor) so the spread stays under the
-//     paper's 10% bound,
+//     per-class detect delta (src/arch/ec_defs.inc's detect column) so the
+//     spread stays under the paper's 10% bound,
 //   - returning from EL2 to EL1 costs 65 cycles,
 //   - a completed virtual EOI costs 71 cycles (Tables 1/6).
 // Everything else (world-switch totals, exit multiplication, NEVE savings)
@@ -15,8 +15,6 @@
 #define NEVE_SRC_CPU_COST_MODEL_H_
 
 #include <cstdint>
-
-#include "src/arch/esr.h"
 
 namespace neve {
 
@@ -30,37 +28,13 @@ struct CostModel {
   // observes "finding out that you need to generate an exception" ranges
   // from free (hvc) to almost free (sysreg trap); keeping distinct deltas
   // lets the trapcost_validation bench reproduce the <10% spread claim.
+  // Each ec_defs.inc row names its field: TLB maintenance is detected like
+  // a hypercall, and an IRQ, which is asynchronous, has none.
   uint32_t detect_hvc = 0;
   uint32_t detect_sysreg = 2;
   uint32_t detect_eret = 1;
   uint32_t detect_mem_abort = 6;
   uint32_t detect_wfx = 1;
-
-  // The detect delta of each trap class, which Cpu::TakeTrapToEl2 adds to
-  // trap_entry. TLB maintenance is detected like a hypercall; an IRQ is
-  // asynchronous, so nothing is detected. No default: -Wswitch flags a new
-  // class.
-  constexpr uint32_t DetectFor(Ec ec) const {
-    switch (ec) {
-      case Ec::kHvc64:
-      case Ec::kTlbi:
-        return detect_hvc;
-      case Ec::kSysReg:
-        return detect_sysreg;
-      case Ec::kEretTrap:
-        return detect_eret;
-      case Ec::kDataAbortLow:
-        return detect_mem_abort;
-      case Ec::kWfx:
-        return detect_wfx;
-      case Ec::kUnknown:
-      case Ec::kSmc64:
-      case Ec::kInstAbortLow:
-      case Ec::kIrq:
-        return 0;
-    }
-    return 0;
-  }
 
   // Non-trapping system register access (MSR/MRS).
   uint32_t sysreg_access = 8;

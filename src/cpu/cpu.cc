@@ -52,39 +52,6 @@ class S2TranslatingView : public MemIo {
   Pa s2_root_;
 };
 
-// The attribution category of a whole trap episode: entry, dispatch and
-// return cycles land here unless the handler refines them with a nested
-// scope (sysreg/timer/GIC emulation, shadow fixups, ...).
-AttrCat TrapCatForEc(Ec ec) {
-  switch (ec) {
-    case Ec::kHvc64:
-    case Ec::kSmc64:
-      return AttrCat::kTrapHvc;
-    case Ec::kSysReg:
-      return AttrCat::kTrapSysReg;
-    case Ec::kEretTrap:
-      return AttrCat::kTrapEret;
-    case Ec::kInstAbortLow:
-    case Ec::kDataAbortLow:
-      return AttrCat::kTrapDataAbort;
-    case Ec::kIrq:
-      return AttrCat::kTrapIrq;
-    case Ec::kWfx:
-      return AttrCat::kTrapWfx;
-    case Ec::kTlbi:
-    case Ec::kUnknown:
-      break;
-  }
-  return AttrCat::kTrapOther;
-}
-
-// The trap classes in episode-histogram slot order (Cpu::EpisodeSlot); any
-// other Ec value takes the slot after them.
-constexpr Ec kEpisodeEcs[] = {Ec::kUnknown,      Ec::kWfx,      Ec::kHvc64,
-                               Ec::kSmc64,        Ec::kSysReg,   Ec::kTlbi,
-                               Ec::kEretTrap,     Ec::kInstAbortLow,
-                               Ec::kDataAbortLow, Ec::kIrq};
-
 // Dense ids and plan-target ranges for SysRegList, handed out as lists are
 // constructed (at static initialization for namespace-scope lists).
 // Constant-initialized, so lists in any translation unit may use them.
@@ -159,22 +126,13 @@ AccessContext Cpu::CurrentAccessContext() const {
                        .vncr_enabled = VncrEnabled()};
 }
 
-size_t Cpu::EpisodeSlot(Ec ec) {
-  static_assert(std::size(kEpisodeEcs) + 1 == kNumEpisodeSlots);
-  return static_cast<size_t>(
-      std::find(std::begin(kEpisodeEcs), std::end(kEpisodeEcs), ec) -
-      std::begin(kEpisodeEcs));
-}
-
 std::array<HistogramRef, Cpu::kNumEpisodeSlots> Cpu::EpisodeHistogramRefs() {
-  // "cpu.trap_episode_cycles." + EcName per slot, built once per process;
-  // the handles keep pointers into it. Ec{0xFF} is no enumerator, so the
-  // catch-all slot gets EcName's "EC?".
+  // "cpu.trap_episode_cycles." + each row's name, the catch-all's "EC?"
+  // last, built once per process; the handles keep pointers into it.
   static const auto names = [] {
     std::array<std::string, kNumEpisodeSlots> out;
     for (size_t i = 0; i < out.size(); ++i) {
-      Ec ec = i < std::size(kEpisodeEcs) ? kEpisodeEcs[i] : Ec{0xFF};
-      out[i] = std::string("cpu.trap_episode_cycles.") + EcName(ec);
+      out[i] = std::string("cpu.trap_episode_cycles.") + kEcRowNames[i];
     }
     return out;
   }();
@@ -213,14 +171,15 @@ TrapOutcome Cpu::TakeTrapToEl2(const Syndrome& s) {
   // the trap's category at layer L0 (handling happens in the host) unless a
   // handler pushes a finer-grained scope. The RAII scope survives a
   // GuestFaultException unwinding out of the host handler.
-  AttrScope attr_scope(*this, AttrLayer::kL0, TrapCatForEc(s.ec));
+  const TrapClass& tc = TrapClassOf(s.ec);
+  AttrScope attr_scope(*this, AttrLayer::kL0, tc.attribution);
 
   // The episode's span opens before the entry charge and closes after the
   // return charge, or when a guest fault unwinds the handler. Its begin
   // event's ID doubles as the episode's exemplar link.
   uint64_t episode_start = cycles_;
   ScopedSpan span(obs_, *this, "trap", EcName(s.ec));
-  Charge(cost_.DetectFor(s.ec) + cost_.trap_entry);
+  Charge((tc.detect != nullptr ? cost_.*tc.detect : 0) + cost_.trap_entry);
   trace_.OnTrapToEl2(s, cycles_);
   bool observing = span.id() != 0;
   if (observing) {
@@ -264,7 +223,7 @@ TrapOutcome Cpu::TakeTrapToEl2(const Syndrome& s) {
       uint64_t episode = cycles_ - episode_start;
       trap_episode_cycles_.In(obs_->metrics())
           .RecordWithExemplar(episode, span.id());
-      trap_episode_cycles_by_ec_[EpisodeSlot(s.ec)]
+      trap_episode_cycles_by_ec_[EcRow(s.ec)]
           .In(obs_->metrics())
           .RecordWithExemplar(episode, span.id());
     }

@@ -33,6 +33,7 @@
 #include "src/cpu/cost_model.h"
 #include "src/cpu/resolution_cache.h"
 #include "src/cpu/trace.h"
+#include "src/cpu/trap_class.h"
 #include "src/cpu/trap_rules.h"
 #include "src/fault/guest_fault.h"
 #include "src/mem/phys_mem.h"
@@ -406,15 +407,15 @@ class Cpu {
     }
   }
 
-  // Exception entry to EL2 + host dispatch + return. Charges the entry with
-  // the class's detect delta (CostModel::DetectFor) and the return, and
-  // returns the outcome.
+  // Exception entry to EL2 + host dispatch + return. Reads the class's
+  // TrapClassOf row once: the episode's attribution category, and the detect
+  // delta charged with the entry. Charges the return and returns the
+  // outcome.
   TrapOutcome TakeTrapToEl2(const Syndrome& s);
 
-  // Episode histograms per trap class: one slot per Ec enumerator plus one
-  // for any other value (which EcName calls "EC?").
-  static constexpr size_t kNumEpisodeSlots = 11;
-  static size_t EpisodeSlot(Ec ec);
+  // Episode histograms per trap class, indexed by EcRow: one slot per
+  // ec_defs.inc row plus the catch-all's ("EC?").
+  static constexpr size_t kNumEpisodeSlots = kNumEcRows + 1;
   static std::array<HistogramRef, kNumEpisodeSlots> EpisodeHistogramRefs();
 
   // Address translation for LoadVa/StoreVa. On success fills pa; on Stage-2
@@ -494,7 +495,7 @@ class Cpu {
   // not-snapshotted: metric handles, as above
   CounterRef virtual_el2_erets_{"cpu.virtual_el2_erets"};
   HistogramRef trap_episode_cycles_{"cpu.trap_episode_cycles"};
-  // not-snapshotted: metric handles, as above; indexed by EpisodeSlot(ec)
+  // not-snapshotted: metric handles, as above; indexed by EcRow(ec)
   std::array<HistogramRef, kNumEpisodeSlots> trap_episode_cycles_by_ec_ =
       EpisodeHistogramRefs();
 };

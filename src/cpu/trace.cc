@@ -6,12 +6,12 @@
 namespace neve {
 
 std::string CpuTrace::AttributionReport() const {
-  const char* names[kNumClasses] = {"hvc/smc", "sysreg",      "eret",
-                                    "aborts",  "interrupts", "other"};
+  const char* names[kNumTraceClasses] = {"hvc/smc", "sysreg",     "eret",
+                                         "aborts",  "interrupts", "other"};
   uint64_t total = total_attributed_cycles();
   std::ostringstream oss;
   oss << "  cycles by trap class (outermost episodes):\n";
-  for (int i = 0; i < kNumClasses; ++i) {
+  for (size_t i = 0; i < kNumTraceClasses; ++i) {
     if (cycles_by_class_[i] == 0) {
       continue;
     }
@@ -35,8 +35,10 @@ std::string CpuTrace::Dump() const {
         << r.syndrome.ToString() << "\n";
   }
   oss << "  total traps to EL2: " << traps_to_el2_ << " (sysreg "
-      << sysreg_traps_ << ", hvc " << hvc_traps_ << ", eret " << eret_traps_
-      << ", abort " << abort_traps_ << ", irq " << irq_exits_ << ")\n";
+      << traps(TraceClass::kSysReg) << ", hvc " << traps(TraceClass::kHvc)
+      << ", eret " << traps(TraceClass::kEret) << ", abort "
+      << traps(TraceClass::kAbort) << ", irq " << traps(TraceClass::kIrq)
+      << ")\n";
   return oss.str();
 }
 

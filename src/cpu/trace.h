@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/arch/esr.h"
+#include "src/cpu/trap_class.h"
 
 namespace neve {
 
@@ -52,24 +53,9 @@ class CpuTrace {
 
   void OnTrapToEl2(const Syndrome& s, uint64_t cycles) {
     ++traps_to_el2_;
-    switch (s.ec) {
-      case Ec::kHvc64:
-        ++hvc_traps_;
-        break;
-      case Ec::kSysReg:
-        ++sysreg_traps_;
-        break;
-      case Ec::kEretTrap:
-        ++eret_traps_;
-        break;
-      case Ec::kDataAbortLow:
-        ++abort_traps_;
-        break;
-      case Ec::kIrq:
-        ++irq_exits_;
-        break;
-      default:
-        break;
+    TraceClass c = TrapClassOf(s.ec).trace;
+    if (c != TraceClass::kOther) {
+      ++traps_[static_cast<size_t>(c)];
     }
     if (record_details_) {
       records_.push_back(
@@ -82,10 +68,12 @@ class CpuTrace {
   // hypervisor's emulation traps inside a forwarded exit) rolls up into the
   // class that started the episode.
   void AttributeCycles(Ec ec, uint64_t cycles) {
-    cycles_by_class_[ClassIndex(ec)] += cycles;
+    cycles_by_class_[static_cast<size_t>(TrapClassOf(ec).trace)] += cycles;
   }
 
-  uint64_t cycles_for(Ec ec) const { return cycles_by_class_[ClassIndex(ec)]; }
+  uint64_t cycles_for(Ec ec) const {
+    return cycles_by_class_[static_cast<size_t>(TrapClassOf(ec).trace)];
+  }
   uint64_t total_attributed_cycles() const {
     uint64_t sum = 0;
     for (uint64_t c : cycles_by_class_) {
@@ -96,21 +84,16 @@ class CpuTrace {
 
   void Reset() {
     traps_to_el2_ = 0;
-    hvc_traps_ = 0;
-    sysreg_traps_ = 0;
-    eret_traps_ = 0;
-    abort_traps_ = 0;
-    irq_exits_ = 0;
+    traps_.fill(0);
     records_.clear();
     cycles_by_class_.fill(0);
   }
 
   uint64_t traps_to_el2() const { return traps_to_el2_; }
-  uint64_t hvc_traps() const { return hvc_traps_; }
-  uint64_t sysreg_traps() const { return sysreg_traps_; }
-  uint64_t eret_traps() const { return eret_traps_; }
-  uint64_t abort_traps() const { return abort_traps_; }
-  uint64_t irq_exits() const { return irq_exits_; }
+  // Traps of one class; kOther has no counter.
+  uint64_t traps(TraceClass c) const {
+    return traps_.at(static_cast<size_t>(c));
+  }
 
   const std::vector<TrapRecord>& records() const { return records_; }
 
@@ -120,28 +103,6 @@ class CpuTrace {
   // "Where the cycles went": per-exception-class handling time.
   std::string AttributionReport() const;
 
- private:
-  static constexpr int kNumClasses = 6;
-  static int ClassIndex(Ec ec) {
-    switch (ec) {
-      case Ec::kHvc64:
-      case Ec::kSmc64:
-        return 0;
-      case Ec::kSysReg:
-        return 1;
-      case Ec::kEretTrap:
-        return 2;
-      case Ec::kDataAbortLow:
-      case Ec::kInstAbortLow:
-        return 3;
-      case Ec::kIrq:
-        return 4;
-      default:
-        return 5;
-    }
-  }
-
- public:
   bool operator==(const CpuTrace&) const = default;
 
   // Every field, in wire order: a snapshot copies a CpuTrace whole and
@@ -150,11 +111,9 @@ class CpuTrace {
   void SnapFields(Ar& ar) {
     ar.U8(record_details_);
     ar.U64(traps_to_el2_);
-    ar.U64(hvc_traps_);
-    ar.U64(sysreg_traps_);
-    ar.U64(eret_traps_);
-    ar.U64(abort_traps_);
-    ar.U64(irq_exits_);
+    for (uint64_t& n : traps_) {
+      ar.U64(n);
+    }
     ar.Vec(records_, 8 + 42 + 8, [&ar](TrapRecord& r) { r.SnapFields(ar); });
     ar.Vec(cycles_by_class_, 8, [&ar](uint64_t& c) { ar.U64(c); });
   }
@@ -162,13 +121,9 @@ class CpuTrace {
  private:
   bool record_details_ = false;
   uint64_t traps_to_el2_ = 0;
-  uint64_t hvc_traps_ = 0;
-  uint64_t sysreg_traps_ = 0;
-  uint64_t eret_traps_ = 0;
-  uint64_t abort_traps_ = 0;
-  uint64_t irq_exits_ = 0;
+  std::array<uint64_t, kNumTraceClasses - 1> traps_ = {};  // by TraceClass
   std::vector<TrapRecord> records_;
-  std::array<uint64_t, kNumClasses> cycles_by_class_ = {};
+  std::array<uint64_t, kNumTraceClasses> cycles_by_class_ = {};
 };
 
 }  // namespace neve

@@ -171,7 +171,7 @@ class GuestKvm : public Vel2Handler {
   GuestKvmConfig config_; // not-snapshotted: fixed at construction, verified
   GuestPhysView view_;    // not-snapshotted: stateless view over machine mem
   PageAllocator table_alloc_;   // table pages carved from our RAM top
-  uint64_t next_nested_ram_;
+  uint64_t next_nested_ram_;  // single-mutator: snap restore runs quiesced
   uint64_t nested_ram_end_;  // not-snapshotted: fixed geometry, verified
   std::vector<std::unique_ptr<Vm>> vms_;
   std::vector<PvcpuState> pvcpu_;

@@ -1,12 +1,23 @@
 #include "src/mem/phys_mem.h"
 
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "src/base/bits.h"
 #include "src/base/status.h"
 
 namespace neve {
+namespace {
+
+std::string Hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+}  // namespace
 
 PhysMem::PhysMem(uint64_t size_bytes) : size_(size_bytes) {
   NEVE_CHECK_MSG(IsAligned(size_bytes, kPageSize), "size must be page aligned");
@@ -16,9 +27,8 @@ PhysMem::PhysMem(uint64_t size_bytes) : size_(size_bytes) {
 }
 
 void PhysMem::CheckRange(Pa pa, uint64_t bytes) const {
-  NEVE_CHECK_MSG(Contains(pa, bytes), "PA out of range: 0x" +
-                                          std::to_string(pa.value) + " size " +
-                                          std::to_string(size_));
+  NEVE_CHECK_MSG(Contains(pa, bytes), "PA out of range: " + Hex(pa.value) +
+                                          " size " + std::to_string(size_));
   // Accesses must not straddle a page boundary (hardware would split them;
   // simulator callers always use naturally aligned accesses).
   NEVE_CHECK_MSG(pa.PageOffset() + bytes <= kPageSize, "access crosses page");

@@ -95,11 +95,9 @@ EndState CaptureEndState(ArmStack& stack) {
     for (int i = 0; i < m.num_cpus(); ++i) {
       const CpuTrace& tr = m.cpu(i).trace();
       d.Mix(tr.traps_to_el2());
-      d.Mix(tr.hvc_traps());
-      d.Mix(tr.sysreg_traps());
-      d.Mix(tr.eret_traps());
-      d.Mix(tr.abort_traps());
-      d.Mix(tr.irq_exits());
+      for (size_t c = 0; c + 1 < kNumTraceClasses; ++c) {  // all but kOther
+        d.Mix(tr.traps(static_cast<TraceClass>(c)));
+      }
     }
     e.trap_digest = d.value();
   }

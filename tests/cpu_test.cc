@@ -97,14 +97,16 @@ TEST_F(CpuFixture, HvcFromGuestTrapsWithImmediate) {
   ASSERT_EQ(host_.syndromes.size(), 1u);
   EXPECT_EQ(host_.syndromes[0].ec, Ec::kHvc64);
   EXPECT_EQ(host_.syndromes[0].imm16, 0x4B00);
-  EXPECT_EQ(cpu_.trace().hvc_traps(), 1u);
+  EXPECT_EQ(cpu_.trace().traps(TraceClass::kHvc), 1u);
 }
 
 TEST_F(CpuFixture, TrapChargesEntryAndReturn) {
   // Every trap class the fixture can raise costs entry + its detect delta +
   // return, plus the operation's own charges. The deltas are distinct and
   // nonzero here (the defaults give HVC, TLBI and IRQ all 0), so a class
-  // mapped to another class's delta, or to none, changes the count.
+  // mapped to another class's delta, or to none, changes the count. The
+  // episode's cycles land in the class's L0 attribution category, and the
+  // trap counts toward the class's trace counter (none for kOther).
   CostModel cost = CostModel::Default();
   cost.detect_hvc = 3;
   cost.detect_sysreg = 5;
@@ -112,37 +114,49 @@ TEST_F(CpuFixture, TrapChargesEntryAndReturn) {
   cost.detect_mem_abort = 11;
   cost.detect_wfx = 13;
   const uint64_t imo = Hcr::Make({HcrBits::kImo});
+  using TC = TraceClass;
   struct Row {
     const char* what;
     uint64_t hcr;
     Ec ec;
     uint32_t detect;
     uint32_t own;  // the operation's charges besides the trap
+    AttrCat cat;
+    TraceClass trace;
     void (*op)(Cpu&);
   };
   const Row rows[] = {
-      {"hvc", imo, Ec::kHvc64, cost.detect_hvc, 0, [](Cpu& c) { c.Hvc(1); }},
+      {"hvc", imo, Ec::kHvc64, cost.detect_hvc, 0, AttrCat::kTrapHvc, TC::kHvc,
+       [](Cpu& c) { c.Hvc(1); }},
       {"sysreg read", Vel2Hcr(false), Ec::kSysReg, cost.detect_sysreg, 0,
+       AttrCat::kTrapSysReg, TC::kSysReg,
        [](Cpu& c) { (void)c.SysRegRead(SysReg::kHACR_EL2); }},
       {"sysreg write", Vel2Hcr(false), Ec::kSysReg, cost.detect_sysreg, 0,
+       AttrCat::kTrapSysReg, TC::kSysReg,
        [](Cpu& c) { c.SysRegWrite(SysReg::kCPTR_EL2, 1); }},
       {"eret", Vel2Hcr(false), Ec::kEretTrap, cost.detect_eret, 0,
-       [](Cpu& c) { c.EretFromVirtualEl2(); }},
+       AttrCat::kTrapEret, TC::kEret, [](Cpu& c) { c.EretFromVirtualEl2(); }},
       {"wfi under TWI", Hcr::Make({HcrBits::kImo, HcrBits::kTwi}), Ec::kWfx,
-       cost.detect_wfx, 0, [](Cpu& c) { c.Wfi(); }},
+       cost.detect_wfx, 0, AttrCat::kTrapWfx, TC::kOther,
+       [](Cpu& c) { c.Wfi(); }},
       {"tlbi under trap_tlbi", imo, Ec::kTlbi, cost.detect_hvc, cost.barrier,
-       [](Cpu& c) { c.TlbiAll(); }},
-      {"irq", imo, Ec::kIrq, 0, 0, [](Cpu& c) { c.TakeIrq(48); }},
+       AttrCat::kTrapOther, TC::kOther, [](Cpu& c) { c.TlbiAll(); }},
+      {"irq", imo, Ec::kIrq, 0, 0, AttrCat::kTrapIrq, TC::kIrq,
+       [](Cpu& c) { c.TakeIrq(48); }},
       // VTTBR_EL2 = 0 names an empty Stage-2 table: every access faults.
       {"stage-2 data abort", Hcr::Make({HcrBits::kVm, HcrBits::kImo}),
        Ec::kDataAbortLow, cost.detect_mem_abort,
        PageTable::kWalkLevels * cost.tlb_walk_per_level,
+       AttrCat::kTrapDataAbort, TC::kAbort,
        [](Cpu& c) { (void)c.LoadVa(Va(0x1000)); }},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.what);
     Cpu cpu(0, ArchFeatures::Armv84Neve(), cost, &mem_);
     FakeHost host;
+    CycleAttribution attr;
+    attr.AttachCpu(0);
+    cpu.SetAttribution(&attr);
     cpu.SetEl2Host(&host);
     cpu.SetTrapTlbi(true);
     cpu.PokeReg(RegId::kHCR_EL2, row.hcr);
@@ -154,8 +168,23 @@ TEST_F(CpuFixture, TrapChargesEntryAndReturn) {
     });
     ASSERT_EQ(host.syndromes.size(), 1u);
     EXPECT_EQ(host.syndromes[0].ec, row.ec);
-    EXPECT_EQ(c1 - c0,
-              cost.trap_entry + row.detect + cost.trap_return + row.own);
+    const uint64_t episode = cost.trap_entry + row.detect + cost.trap_return;
+    EXPECT_EQ(c1 - c0, episode + row.own);
+    // The fake host charges nothing, so the episode is the only charge
+    // outside the root (L0, host_other) frame.
+    uint64_t in_cat = 0;
+    for (const AttrBucket& b : attr.Snapshot()) {
+      if (b.layer == AttrLayer::kL0 && b.cat == row.cat) {
+        in_cat += b.cycles;
+      } else {
+        EXPECT_EQ(b.cat, AttrCat::kHostOther) << b.StackName();
+      }
+    }
+    EXPECT_EQ(in_cat, episode);
+    EXPECT_EQ(cpu.trace().traps_to_el2(), 1u);
+    for (TC c : {TC::kHvc, TC::kSysReg, TC::kEret, TC::kAbort, TC::kIrq}) {
+      EXPECT_EQ(cpu.trace().traps(c), c == row.trace ? 1u : 0u);
+    }
   }
 }
 
@@ -194,7 +223,7 @@ TEST_F(CpuFixture, EretFromVirtualEl2Traps) {
   cpu_.RunLowerEl(El::kEl1, [&] { cpu_.EretFromVirtualEl2(); });
   ASSERT_EQ(host_.syndromes.size(), 1u);
   EXPECT_EQ(host_.syndromes[0].ec, Ec::kEretTrap);
-  EXPECT_EQ(cpu_.trace().eret_traps(), 1u);
+  EXPECT_EQ(cpu_.trace().traps(TraceClass::kEret), 1u);
 }
 
 TEST_F(CpuFixture, EretWithoutNvIsLocal) {
@@ -227,7 +256,7 @@ TEST_F(CpuFixture, TakeIrqRoutesToHost) {
   ASSERT_EQ(host_.syndromes.size(), 1u);
   EXPECT_EQ(host_.syndromes[0].ec, Ec::kIrq);
   EXPECT_EQ(host_.syndromes[0].intid, 48u);
-  EXPECT_EQ(cpu_.trace().irq_exits(), 1u);
+  EXPECT_EQ(cpu_.trace().traps(TraceClass::kIrq), 1u);
 }
 
 TEST_F(CpuFixture, HostCodeCannotTrap) {
@@ -265,9 +294,9 @@ TEST_F(CpuFixture, TraceCountsByClass) {
     cpu_.EretFromVirtualEl2();
   });
   EXPECT_EQ(cpu_.trace().traps_to_el2(), 3u);
-  EXPECT_EQ(cpu_.trace().hvc_traps(), 1u);
-  EXPECT_EQ(cpu_.trace().sysreg_traps(), 1u);
-  EXPECT_EQ(cpu_.trace().eret_traps(), 1u);
+  EXPECT_EQ(cpu_.trace().traps(TraceClass::kHvc), 1u);
+  EXPECT_EQ(cpu_.trace().traps(TraceClass::kSysReg), 1u);
+  EXPECT_EQ(cpu_.trace().traps(TraceClass::kEret), 1u);
   cpu_.trace().Reset();
   EXPECT_EQ(cpu_.trace().traps_to_el2(), 0u);
 }
@@ -822,9 +851,9 @@ TEST(CpuTraceTest, CountersClassifyBySyndrome) {
   trace.OnTrapToEl2(Syndrome::SysRegTrap(SysReg::kVBAR_EL2, false, 0), 2);
   trace.OnTrapToEl2(Syndrome::Irq(27), 3);
   EXPECT_EQ(trace.traps_to_el2(), 3u);
-  EXPECT_EQ(trace.sysreg_traps(), 2u);
-  EXPECT_EQ(trace.irq_exits(), 1u);
-  EXPECT_EQ(trace.hvc_traps(), 0u);
+  EXPECT_EQ(trace.traps(TraceClass::kSysReg), 2u);
+  EXPECT_EQ(trace.traps(TraceClass::kIrq), 1u);
+  EXPECT_EQ(trace.traps(TraceClass::kHvc), 0u);
 }
 
 TEST(CpuTraceTest, AttributionReportShowsClassesWithPercent) {
@@ -856,7 +885,7 @@ TEST(CpuTraceTest, ResetClearsEverything) {
   trace.AttributeCycles(Ec::kHvc64, 99);
   trace.Reset();
   EXPECT_EQ(trace.traps_to_el2(), 0u);
-  EXPECT_EQ(trace.hvc_traps(), 0u);
+  EXPECT_EQ(trace.traps(TraceClass::kHvc), 0u);
   EXPECT_TRUE(trace.records().empty());
   EXPECT_EQ(trace.total_attributed_cycles(), 0u);
 }

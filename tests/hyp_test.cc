@@ -71,7 +71,7 @@ TEST(HostKvmTest, MmioReachesDevice) {
   EXPECT_EQ(device.writes(), 1u);
   EXPECT_EQ(device.last_write(), 0x77u);
   EXPECT_EQ(read_value, 0xD0D0'0010u);
-  EXPECT_EQ(machine.cpu(0).trace().abort_traps(), 2u);
+  EXPECT_EQ(machine.cpu(0).trace().traps(TraceClass::kAbort), 2u);
 }
 
 TEST(HostKvmTest, UnmappedNonMmioAccessKillsOnlyTheVm) {

@@ -66,7 +66,7 @@ TEST_F(MemFixture, ZeroPageClears) {
 }
 
 TEST_F(MemFixture, OutOfRangeAccessAborts) {
-  EXPECT_DEATH(mem_.Read64(Pa(kMemSize)), "PA out of range");
+  EXPECT_DEATH(mem_.Read64(Pa(kMemSize)), "PA out of range: 0x4000000");
   EXPECT_DEATH(mem_.Write64(Pa(kMemSize - 4), 1), "");  // straddles the end
 }
 
