@@ -43,13 +43,6 @@ void Diag(std::vector<Diagnostic>& diags, std::string file, int line,
   }
 }
 
-bool IsRedirectClass(NeveClass k) {
-  return k == NeveClass::kRedirect || k == NeveClass::kRedirectVhe ||
-         k == NeveClass::kRedirectOrTrap;
-}
-
-int ElRank(El el) { return static_cast<int>(el); }
-
 const char* KindName(AccessResolution::Kind k) {
   switch (k) {
     case AccessResolution::Kind::kRegister:
@@ -135,154 +128,7 @@ bool SameResolution(const AccessResolution& a, const AccessResolution& b) {
 
 }  // namespace
 
-// --- pass 1: structural table lint -------------------------------------------
-
-std::vector<Diagnostic> LintModel(const ArchModel& m) {
-  std::vector<Diagnostic> d;
-  auto reg_ok = [&](RegId id) {
-    return static_cast<size_t>(id) < m.regs.size();
-  };
-
-  // Names: present and unique within each table.
-  std::map<std::string, int> reg_names;
-  for (const RegRow& r : m.regs) {
-    if (r.name.empty()) {
-      Diag(d, kRegIdDefsPath, r.line, "reg-name-empty",
-           "backing register with empty name");
-      continue;
-    }
-    auto [it, inserted] = reg_names.emplace(r.name, r.line);
-    if (!inserted) {
-      Diag(d, kRegIdDefsPath, r.line, "reg-name-duplicate",
-           "duplicate register name " + r.name + " (first defined at line " +
-               std::to_string(it->second) + ")");
-    }
-  }
-  std::map<std::string, int> enc_names;
-  for (const EncRow& e : m.encs) {
-    if (e.name.empty()) {
-      Diag(d, kSysRegDefsPath, e.line, "enc-name-empty",
-           "encoding with empty name");
-      continue;
-    }
-    auto [it, inserted] = enc_names.emplace(e.name, e.line);
-    if (!inserted) {
-      Diag(d, kSysRegDefsPath, e.line, "enc-name-duplicate",
-           "duplicate encoding name " + e.name + " (first defined at line " +
-               std::to_string(it->second) + ")");
-    }
-  }
-
-  // Deferred-page slots: 8-byte aligned, inside the 4 KiB page, unique.
-  std::map<uint64_t, const RegRow*> offsets;
-  for (const RegRow& r : m.regs) {
-    if (r.deferred_offset % 8 != 0) {
-      Diag(d, kRegIdDefsPath, r.line, "vncr-offset-alignment",
-           r.name + ": deferred-page offset " +
-               std::to_string(r.deferred_offset) + " is not 8-byte aligned");
-    }
-    if (r.deferred_offset + 8 > kDeferredPageSize) {
-      Diag(d, kRegIdDefsPath, r.line, "vncr-offset-range",
-           r.name + ": deferred-page offset " +
-               std::to_string(r.deferred_offset) +
-               " overruns the 4 KiB VNCR page");
-    }
-    auto [it, inserted] = offsets.emplace(r.deferred_offset, &r);
-    if (!inserted) {
-      Diag(d, kRegIdDefsPath, r.line, "vncr-offset-duplicate",
-           r.name + ": deferred-page offset " +
-               std::to_string(r.deferred_offset) + " already used by " +
-               it->second->name);
-    }
-  }
-
-  // Encodings: valid storage, one direct encoding per register, alias rules.
-  std::vector<int> direct_count(m.regs.size(), 0);
-  for (const EncRow& e : m.encs) {
-    if (!reg_ok(e.storage)) {
-      Diag(d, kSysRegDefsPath, e.line, "enc-storage-range",
-           e.name + ": storage RegId out of range");
-      continue;
-    }
-    const RegRow& reg = m.regs[static_cast<size_t>(e.storage)];
-    switch (e.kind) {
-      case EncKind::kDirect:
-        ++direct_count[static_cast<size_t>(e.storage)];
-        if (ElRank(e.min_el) < ElRank(reg.owner)) {
-          Diag(d, kSysRegDefsPath, e.line, "enc-min-el",
-               e.name + ": accessible below its owner EL (" +
-                   ElName(e.min_el) + " < " + ElName(reg.owner) + ")");
-        }
-        break;
-      case EncKind::kEl12:
-        if (reg.owner != El::kEl1) {
-          Diag(d, kSysRegDefsPath, e.line, "alias-el12-storage",
-               e.name + ": EL12 alias must target EL1 storage, targets " +
-                   reg.name);
-        }
-        if (e.min_el != El::kEl2) {
-          Diag(d, kSysRegDefsPath, e.line, "alias-min-el",
-               e.name + ": VHE alias encodings are EL2-only");
-        }
-        break;
-      case EncKind::kEl02:
-        if (reg.owner != El::kEl0) {
-          Diag(d, kSysRegDefsPath, e.line, "alias-el02-storage",
-               e.name + ": EL02 alias must target EL0 storage, targets " +
-                   reg.name);
-        }
-        if (e.min_el != El::kEl2) {
-          Diag(d, kSysRegDefsPath, e.line, "alias-min-el",
-               e.name + ": VHE alias encodings are EL2-only");
-        }
-        break;
-    }
-  }
-  for (size_t r = 0; r < m.regs.size(); ++r) {
-    if (direct_count[r] != 1) {
-      Diag(d, kRegIdDefsPath, m.regs[r].line, "direct-encoding-bijection",
-           m.regs[r].name + ": has " + std::to_string(direct_count[r]) +
-               " direct encodings, expected exactly 1");
-    }
-  }
-
-  // NEVE class rules.
-  for (size_t i = 0; i < m.regs.size(); ++i) {
-    const RegRow& r = m.regs[i];
-    if (IsRedirectClass(r.klass)) {
-      auto t = static_cast<size_t>(r.redirect);
-      if (t >= m.regs.size() || t == i) {
-        Diag(d, kRegIdDefsPath, r.line, "redirect-target",
-             r.name + ": redirect class without a distinct valid target");
-      } else if (m.regs[t].owner != El::kEl1) {
-        Diag(d, kRegIdDefsPath, r.line, "redirect-target-el1",
-             r.name + ": redirects to " + m.regs[t].name +
-                 " which is not EL1 storage");
-      }
-      if (r.owner != El::kEl2) {
-        Diag(d, kRegIdDefsPath, r.line, "redirect-owner",
-             r.name + ": Table 4 redirect rows are EL2 registers");
-      }
-    } else if (static_cast<size_t>(r.redirect) != i) {
-      Diag(d, kRegIdDefsPath, r.line, "redirect-self",
-           r.name + ": non-redirect rows name themselves in the redirect "
-                    "column");
-    }
-    if (r.klass == NeveClass::kGicCached) {
-      if (r.owner != El::kEl2 || r.name.rfind("ICH_", 0) != 0) {
-        Diag(d, kRegIdDefsPath, r.line, "gic-cached-rows",
-             r.name + ": Table 5 rows are EL2 ICH_* registers");
-      }
-    }
-    if (r.klass == NeveClass::kTimerTrap && r.owner != El::kEl2) {
-      Diag(d, kRegIdDefsPath, r.line, "timer-trap-owner",
-           r.name + ": EL2 hypervisor timer expected");
-    }
-  }
-  return d;
-}
-
-// --- pass 2: exhaustive resolution sweep -------------------------------------
+// --- pass 1: exhaustive resolution sweep -------------------------------------
 
 std::vector<Diagnostic> SweepResolution() {
   std::vector<Diagnostic> d;
@@ -522,7 +368,7 @@ std::vector<Diagnostic> SweepResolution() {
   return d;
 }
 
-// --- pass 3: golden tables ---------------------------------------------------
+// --- pass 2: golden tables ---------------------------------------------------
 
 namespace {
 
@@ -639,30 +485,35 @@ std::vector<Diagnostic> CheckGoldenTables(const GoldenTables& g) {
     }
   }
 
-  // Table 3, EL1-owned VM execution context: the non-VHE guest reaches it
-  // through EL1 encodings (NV1), the VHE guest through *_EL12 aliases (or
-  // the EL2-only direct encoding, e.g. SP_EL1).
-  for (const std::string& name : g.table3_vm_execution_control) {
-    std::optional<SysReg> el1_enc = direct(name);
-    if (!el1_enc.has_value()) {
-      continue;
-    }
-    for (bool w : {false, true}) {
-      Probe(d, ctx.nv1_guest, *el1_enc, w,
-            {AccessResolution::Kind::kMemory, SysRegStorage(*el1_enc)},
-            "golden-table3-nv1-deferred",
-            "Table 3 VM execution register under NV1");
-    }
-    std::optional<SysReg> vhe_enc = direct(name + "2");  // FOO_EL1 -> FOO_EL12
-    if (!vhe_enc.has_value() && SysRegMinEl(*el1_enc) == El::kEl2) {
-      vhe_enc = el1_enc;  // SP_EL1: EL2-only encoding, no alias
-    }
-    if (vhe_enc.has_value()) {
+  // Table 3, EL1-owned VM execution context, and the extended rows (EL0's
+  // PMU registers among them): the non-VHE guest reaches them through their
+  // own encodings (NV1), the VHE guest through *_EL12 aliases (or the
+  // EL2-only direct encoding, e.g. SP_EL1).
+  for (const auto* list :
+       {&g.table3_vm_execution_control, &g.table3_extended}) {
+    for (const std::string& name : *list) {
+      std::optional<SysReg> el1_enc = direct(name);
+      if (!el1_enc.has_value()) {
+        continue;
+      }
       for (bool w : {false, true}) {
-        Probe(d, ctx.vhe_guest, *vhe_enc, w,
-              {AccessResolution::Kind::kMemory, SysRegStorage(*vhe_enc)},
-              "golden-table3-el12-deferred",
-              "Table 3 VM execution register via VHE alias");
+        Probe(d, ctx.nv1_guest, *el1_enc, w,
+              {AccessResolution::Kind::kMemory, SysRegStorage(*el1_enc)},
+              "golden-table3-nv1-deferred",
+              "Table 3 VM execution register under NV1");
+      }
+      // FOO_EL1 -> FOO_EL12
+      std::optional<SysReg> vhe_enc = direct(name + "2");
+      if (!vhe_enc.has_value() && SysRegMinEl(*el1_enc) == El::kEl2) {
+        vhe_enc = el1_enc;  // SP_EL1: EL2-only encoding, no alias
+      }
+      if (vhe_enc.has_value()) {
+        for (bool w : {false, true}) {
+          Probe(d, ctx.vhe_guest, *vhe_enc, w,
+                {AccessResolution::Kind::kMemory, SysRegStorage(*vhe_enc)},
+                "golden-table3-el12-deferred",
+                "Table 3 VM execution register via VHE alias");
+        }
       }
     }
   }
@@ -785,19 +636,15 @@ std::vector<Diagnostic> CheckGoldenTables(const GoldenTables& g) {
 }
 
 std::vector<Diagnostic> RunArchLint() {
-  std::vector<Diagnostic> all = LintModel(ArchModel::FromTables());
-  for (auto&& pass : {SweepResolution(), CheckGoldenTables(
-                          GoldenTables::Paper())}) {
-    all.insert(all.end(), pass.begin(), pass.end());
-  }
+  std::vector<Diagnostic> all = SweepResolution();
+  std::vector<Diagnostic> golden = CheckGoldenTables(GoldenTables::Paper());
+  all.insert(all.end(), golden.begin(), golden.end());
   return all;
 }
 
 // --- matrix dump -------------------------------------------------------------
 
-void WriteResolutionMatrix(std::ostream& os, MatrixFormat format,
-                           bool use_cache) {
-  ResolutionCache cache;
+void WriteResolutionMatrix(std::ostream& os, MatrixFormat format) {
   bool json = format == MatrixFormat::kJson;
   if (json) {
     os << "[\n";
@@ -815,7 +662,6 @@ void WriteResolutionMatrix(std::ostream& os, MatrixFormat format,
         if (vncr && !fc.f.neve) {
           continue;
         }
-        cache.Invalidate();  // configuration boundary, as on the CPU
         for (El el : {El::kEl0, El::kEl1, El::kEl2}) {
           AccessContext ctx{.features = fc.f,
                             .el = el,
@@ -824,9 +670,7 @@ void WriteResolutionMatrix(std::ostream& os, MatrixFormat format,
           for (int e = 0; e < kNumSysRegs; ++e) {
             auto enc = static_cast<SysReg>(e);
             for (bool w : {false, true}) {
-              AccessResolution res = use_cache
-                                         ? cache.Resolve(ctx, enc, w)
-                                         : ResolveSysRegAccess(ctx, enc, w);
+              AccessResolution res = ResolveSysRegAccess(ctx, enc, w);
               bool has_target =
                   res.kind == AccessResolution::Kind::kRegister ||
                   res.kind == AccessResolution::Kind::kGicCpuIf ||

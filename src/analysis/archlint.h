@@ -1,12 +1,11 @@
-// Static verification of the architecture model.
+// Static verification of the architecture model's behaviour.
 //
-// Three passes, each returning file:line diagnostics (empty == clean):
+// The shape of each .inc table row is asserted at compile time beside the
+// live tables (src/arch/sysreg.cc). What needs the resolution pipeline is
+// checked here, in two passes, each returning file:line diagnostics
+// (empty == clean):
 //
-//  1. LintModel       -- structural invariants over the declarative tables
-//                        (offsets, aliases, redirect targets, encoding
-//                        bijection). Operates on an ArchModel snapshot so
-//                        tests can seed violations into a copy.
-//  2. SweepResolution -- exhaustively drives ResolveSysRegAccess over the
+//  1. SweepResolution -- exhaustively drives ResolveSysRegAccess over the
 //                        cross-product of every encoding x EL x feature
 //                        generation (incl. NEVE ablations) x HCR{E2H,NV,NV1,
 //                        IMO} x VNCR enable x read/write, and checks
@@ -15,11 +14,11 @@
 //                        (miss-then-hit) and compared against the plain tree
 //                        walk -- the differential oracle for the CPU's
 //                        fast-path cache.
-//  3. CheckGoldenTables - per-class register sets and virtual-EL2 behaviour
+//  2. CheckGoldenTables - per-class register sets and virtual-EL2 behaviour
 //                        must exactly match the paper's Tables 3-5 golden
 //                        data (golden_tables.h).
 //
-// A fourth entry point dumps the full resolution cross-product as CSV or
+// A third entry point dumps the full resolution cross-product as CSV or
 // JSON so model behaviour can be diffed between commits.
 
 #ifndef NEVE_SRC_ANALYSIS_ARCHLINT_H_
@@ -33,22 +32,17 @@
 
 namespace neve::analysis {
 
-std::vector<Diagnostic> LintModel(const ArchModel& model);
 std::vector<Diagnostic> SweepResolution();
 std::vector<Diagnostic> CheckGoldenTables(const GoldenTables& golden);
 
-// All three passes over the live tables and the paper golden data.
+// Both passes over the live tables and the paper golden data.
 std::vector<Diagnostic> RunArchLint();
 
 enum class MatrixFormat { kCsv, kJson };
 
 // Emits one row per (features, HCR, VNCR, EL, direction, encoding) cell of
-// the resolution cross-product. With `use_cache` the cells are resolved
-// through a ResolutionCache (invalidated on each configuration change,
-// exactly as the CPU does); the output must be byte-identical to the
-// uncached dump -- the CI smoke stage diffs the two.
-void WriteResolutionMatrix(std::ostream& os, MatrixFormat format,
-                           bool use_cache = false);
+// the resolution cross-product.
+void WriteResolutionMatrix(std::ostream& os, MatrixFormat format);
 
 }  // namespace neve::analysis
 

@@ -55,33 +55,4 @@ int EncDefLine(SysReg enc) {
   return kEncLines[idx];
 }
 
-ArchModel ArchModel::FromTables() {
-  ArchModel m;
-  m.regs.reserve(kNumRegIds);
-  for (int r = 0; r < kNumRegIds; ++r) {
-    auto reg = static_cast<RegId>(r);
-    RegRow row;
-    row.name = RegName(reg);
-    row.owner = RegOwnerEl(reg);
-    row.klass = RegNeveClass(reg);
-    row.redirect = RegRedirectTarget(reg).value_or(reg);
-    row.deferred_offset = DeferredPageOffset(reg);
-    row.line = RegDefLine(reg);
-    m.regs.push_back(std::move(row));
-  }
-  m.encs.reserve(kNumSysRegs);
-  for (int e = 0; e < kNumSysRegs; ++e) {
-    auto enc = static_cast<SysReg>(e);
-    EncRow row;
-    row.name = SysRegName(enc);
-    row.storage = SysRegStorage(enc);
-    row.min_el = SysRegMinEl(enc);
-    row.kind = SysRegEncKind(enc);
-    row.rw = SysRegRw(enc);
-    row.line = EncDefLine(enc);
-    m.encs.push_back(std::move(row));
-  }
-  return m;
-}
-
 }  // namespace neve::analysis

@@ -1,20 +1,18 @@
-// A mutable snapshot of the declarative architecture model.
+// Diagnostics shared by archlint and srclint, and the source locations of
+// the architecture tables.
 //
-// The live tables in src/arch are constexpr arrays stamped out of the .inc
-// files; archlint wants to (a) check invariants over them and (b) let tests
-// seed violations to prove each check actually fires. ArchModel copies every
-// row into plain vectors -- tests corrupt a copy, the linter never knows the
-// difference -- and records the .inc line each row came from, so diagnostics
-// point at the offending row, not just at a register name.
+// A finding names a repo-relative file and line. The .inc row of every
+// register and encoding is known, so archlint's sweep and golden passes
+// point at the offending table row, not just at a register name. The rows'
+// own shape is checked at compile time, next to the live tables in
+// src/arch/sysreg.cc.
 
 #ifndef NEVE_SRC_ANALYSIS_MODEL_H_
 #define NEVE_SRC_ANALYSIS_MODEL_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "src/arch/el.h"
 #include "src/arch/sysreg.h"
 
 namespace neve::analysis {
@@ -35,36 +33,7 @@ struct Diagnostic {
 
 std::string FormatDiagnostics(const std::vector<Diagnostic>& diags);
 
-// One NEVE_REGID row.
-struct RegRow {
-  std::string name;
-  El owner = El::kEl0;
-  NeveClass klass = NeveClass::kNone;
-  RegId redirect = RegId::kNumRegIds;  // self for non-redirect classes
-  uint64_t deferred_offset = 0;
-  int line = 0;  // row in regid_defs.inc
-};
-
-// One NEVE_SYSREG row.
-struct EncRow {
-  std::string name;
-  RegId storage = RegId::kNumRegIds;
-  El min_el = El::kEl0;
-  EncKind kind = EncKind::kDirect;
-  Rw rw = Rw::kRW;
-  int line = 0;  // row in sysreg_defs.inc
-};
-
-struct ArchModel {
-  std::vector<RegRow> regs;  // indexed by RegId ordinal
-  std::vector<EncRow> encs;  // indexed by SysReg ordinal
-
-  // Snapshot of the tables the simulator actually runs on.
-  static ArchModel FromTables();
-};
-
-// Line (in the respective .inc file) of a row, for diagnostics that start
-// from a live RegId/SysReg rather than an ArchModel row.
+// Line (in the respective .inc file) of a register's or an encoding's row.
 int RegDefLine(RegId reg);
 int EncDefLine(SysReg enc);
 

@@ -12,14 +12,6 @@
 namespace neve::analysis {
 namespace {
 
-// Files allowed to index the raw register file directly. (The linter's own
-// pattern strings no longer need whitelisting: rules match against views
-// with string-literal contents blanked.)
-constexpr const char* kRawRegsWhitelist[] = {
-    "src/cpu/cpu.h",
-    "src/cpu/cpu.cc",
-};
-
 // Files allowed to use the non-resolving PeekReg/PokeReg accessors: the CPU
 // itself, the host hypervisor's world switch and KVM emulation, and the
 // device models that share hardware register state with the CPU.
@@ -75,7 +67,7 @@ std::vector<size_t> FindCalls(std::string_view stripped,
   for (size_t pos = stripped.find(pattern); pos != std::string_view::npos;
        pos = stripped.find(pattern, pos + 1)) {
     if (pos == 0 || !IdentChar(stripped[pos - 1])) {
-      out.push_back(pos);  // e.g. vregs_[ is not regs_[
+      out.push_back(pos);
     }
   }
   return out;
@@ -84,22 +76,14 @@ std::vector<size_t> FindCalls(std::string_view stripped,
 // --- rule: raw register-file access ------------------------------------------
 
 void LintRawRegisterAccess(const LintedFile& lf, std::vector<Diagnostic>& d) {
-  struct Rule {
-    const char* pattern;
-    bool raw_array;  // uses the tighter regs_[ whitelist
-  };
-  static constexpr Rule kRules[] = {
-      {"regs_[", true}, {"PeekReg(", false}, {"PokeReg(", false}};
-  for (const Rule& rule : kRules) {
-    bool ok = rule.raw_array ? Whitelisted(lf.f.path, kRawRegsWhitelist)
-                             : Whitelisted(lf.f.path, kPeekPokeWhitelist);
-    if (ok) {
-      continue;
-    }
-    for (size_t pos : FindCalls(lf.stripped, rule.pattern)) {
+  if (Whitelisted(lf.f.path, kPeekPokeWhitelist)) {
+    return;
+  }
+  for (const char* pattern : {"PeekReg(", "PokeReg("}) {
+    for (size_t pos : FindCalls(lf.stripped, pattern)) {
       d.push_back({lf.f.path, LineOfOffset(lf.stripped, pos),
                    "raw-register-access",
-                   std::string(rule.pattern) +
+                   std::string(pattern) +
                        "... bypasses access resolution; use the Cpu "
                        "SysRegRead/SysRegWrite accessors or whitelist this "
                        "file in srclint.cc"});

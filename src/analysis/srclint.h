@@ -1,7 +1,7 @@
 // Source lint: repo-convention checks that no type can express.
 //
 // Rules:
-//   raw-register-access   direct register-file pokes (regs_[...], PeekReg,
+//   raw-register-access   non-resolving register-file accessors (PeekReg,
 //                         PokeReg) outside the whitelisted CPU/hypervisor/
 //                         device files; everything else must go through the
 //                         resolving SysRegRead/SysRegWrite accessors
@@ -49,12 +49,13 @@
 //                         Silent when the source set has no src/snap files.
 //
 // What a type can hold is left to the compiler (DESIGN.md 6d): .inc row
-// form, trap detect costs, attribution categories, balanced trace spans.
+// form, trap detect costs, attribution categories, balanced trace spans,
+// and the private register array (Cpu::regs_, reached only by its friends).
 //
 // False-positive hardening: every pattern rule matches against a
 // preprocessed view of the file with comments and string/char-literal
-// contents blanked out -- a `regs_[` inside a comment or a "PeekReg(" inside
-// a string literal is not a finding. The view is length- and
+// contents blanked out -- a `PokeReg(` inside a comment or a "PeekReg("
+// inside a string literal is not a finding. The view is length- and
 // newline-preserving, so offsets and line numbers computed on it hold on the
 // original text. Justification comments (`// host-invariant:`,
 // `// single-mutator:`) are read from the ORIGINAL text.

@@ -350,89 +350,9 @@ TEST_F(ResolveNeveTest, DisabledVncrFallsBackToPlainNv) {
             AccessResolution::Kind::kTrapEl2);
 }
 
-// --- Property sweep: every encoding resolves sanely in every context ------------
-
-struct SweepParam {
-  ArchFeatures features;
-  El el;
-  uint64_t hcr;
-  bool vncr;
-  const char* name;
-};
-
-class ResolutionSweepTest : public testing::TestWithParam<SweepParam> {};
-
-TEST_P(ResolutionSweepTest, EveryEncodingResolvesConsistently) {
-  const SweepParam& p = GetParam();
-  AccessContext ctx = MakeCtx(p.features, p.el, p.hcr, p.vncr);
-  for (int e = 0; e < kNumSysRegs; ++e) {
-    auto enc = static_cast<SysReg>(e);
-    for (bool is_write : {false, true}) {
-      if ((is_write && SysRegRw(enc) == Rw::kRO) ||
-          (!is_write && SysRegRw(enc) == Rw::kWO)) {
-        EXPECT_EQ(ResolveSysRegAccess(ctx, enc, is_write).kind,
-                  AccessResolution::Kind::kUndefined)
-            << SysRegName(enc);
-        continue;
-      }
-      AccessResolution r = ResolveSysRegAccess(ctx, enc, is_write);
-      switch (r.kind) {
-        case AccessResolution::Kind::kRegister:
-        case AccessResolution::Kind::kGicCpuIf:
-          EXPECT_LT(static_cast<int>(r.target), kNumRegIds);
-          break;
-        case AccessResolution::Kind::kMemory:
-          // Memory redirection only exists under enabled NEVE.
-          EXPECT_TRUE(p.features.neve && p.vncr) << SysRegName(enc);
-          EXPECT_LT(r.mem_offset + 8, kDeferredPageSize + 1);
-          break;
-        case AccessResolution::Kind::kTrapEl2:
-          // Traps to EL2 can only originate below EL2.
-          EXPECT_NE(p.el, El::kEl2) << SysRegName(enc);
-          break;
-        case AccessResolution::Kind::kUndefined:
-          break;
-      }
-      // At real EL2 nothing ever traps or is undefined for direct EL2
-      // encodings: the host hypervisor must be able to run.
-      if (p.el == El::kEl2 && SysRegEncKind(enc) == EncKind::kDirect) {
-        EXPECT_NE(r.kind, AccessResolution::Kind::kTrapEl2)
-            << SysRegName(enc);
-        EXPECT_NE(r.kind, AccessResolution::Kind::kUndefined)
-            << SysRegName(enc);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllContexts, ResolutionSweepTest,
-    testing::Values(
-        SweepParam{ArchFeatures::Armv80(), El::kEl2, 0, false, "V80Host"},
-        SweepParam{ArchFeatures::Armv80(), El::kEl1,
-                   Hcr::Make({HcrBits::kVm, HcrBits::kImo}), false,
-                   "V80Guest"},
-        SweepParam{ArchFeatures::Armv81Vhe(), El::kEl2,
-                   Hcr::Make({HcrBits::kE2h}), false, "VheHost"},
-        SweepParam{ArchFeatures::Armv83Nv(), El::kEl1,
-                   Hcr::Make({HcrBits::kVm, HcrBits::kImo, HcrBits::kNv,
-                              HcrBits::kNv1}),
-                   false, "NvVel2NonVhe"},
-        SweepParam{ArchFeatures::Armv83Nv(), El::kEl1,
-                   Hcr::Make({HcrBits::kVm, HcrBits::kImo, HcrBits::kNv}),
-                   false, "NvVel2Vhe"},
-        SweepParam{ArchFeatures::Armv84Neve(), El::kEl1,
-                   Hcr::Make({HcrBits::kVm, HcrBits::kImo, HcrBits::kNv,
-                              HcrBits::kNv1}),
-                   true, "NeveVel2NonVhe"},
-        SweepParam{ArchFeatures::Armv84Neve(), El::kEl1,
-                   Hcr::Make({HcrBits::kVm, HcrBits::kImo, HcrBits::kNv}),
-                   true, "NeveVel2Vhe"},
-        SweepParam{ArchFeatures::Armv84Neve(), El::kEl0,
-                   Hcr::Make({HcrBits::kVm, HcrBits::kImo}), false, "El0"}),
-    [](const testing::TestParamInfo<SweepParam>& info) {
-      return info.param.name;
-    });
+// --- Paper claims over every register of a class ----------------------------
+// Invariants over every encoding in every context are archlint's sweep
+// (src/analysis/archlint.cc), which runs in ctest.
 
 TEST(ResolutionSweepTest, NeveNeverTrapsForTable3Registers) {
   // The headline claim: NEVE eliminates all traps for VM system registers.

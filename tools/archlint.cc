@@ -1,16 +1,15 @@
 // archlint: static verification of the architecture model.
 //
-// Default mode runs all three verification passes (structural table lint,
-// exhaustive resolution sweep, paper golden tables) and exits nonzero with
-// file:line diagnostics if any invariant is violated.
+// Default mode runs both verification passes (exhaustive resolution sweep,
+// paper golden tables) and exits nonzero with file:line diagnostics if any
+// invariant is violated. The table rows' own shape is checked when
+// src/arch/sysreg.cc compiles.
 //
 //   archlint                 run all checks
 //   archlint --dump-matrix   dump the resolution cross-product as CSV
 //   archlint --dump-matrix=json   ... as JSON
-//   archlint --dump-matrix=csv -o FILE   write the dump to FILE
-//   archlint --dump-matrix --cached      resolve through the fast-path cache
-//                                        (output must be byte-identical to
-//                                        the uncached dump; CI diffs them)
+//   archlint --dump-matrix=csv -o FILE   write the dump to FILE (-o without
+//                                        --dump-matrix is a usage error)
 
 #include <cstring>
 #include <fstream>
@@ -23,7 +22,7 @@ namespace {
 
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--dump-matrix[=csv|json]] [--cached] [-o FILE]\n";
+            << " [--dump-matrix[=csv|json] [-o FILE]]\n";
   return 2;
 }
 
@@ -31,7 +30,6 @@ int Usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   bool dump = false;
-  bool cached = false;
   neve::analysis::MatrixFormat format = neve::analysis::MatrixFormat::kCsv;
   std::string out_path;
 
@@ -42,15 +40,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--dump-matrix=json") {
       dump = true;
       format = neve::analysis::MatrixFormat::kJson;
-    } else if (arg == "--cached") {
-      cached = true;
     } else if (arg == "-o" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
       return Usage(argv[0]);
     }
   }
-  if (cached && !dump) {
+  if (!out_path.empty() && !dump) {
     return Usage(argv[0]);
   }
 
@@ -61,9 +57,9 @@ int main(int argc, char** argv) {
         std::cerr << "archlint: cannot open " << out_path << "\n";
         return 2;
       }
-      neve::analysis::WriteResolutionMatrix(out, format, cached);
+      neve::analysis::WriteResolutionMatrix(out, format);
     } else {
-      neve::analysis::WriteResolutionMatrix(std::cout, format, cached);
+      neve::analysis::WriteResolutionMatrix(std::cout, format);
     }
     return 0;
   }
@@ -71,7 +67,7 @@ int main(int argc, char** argv) {
   std::vector<neve::analysis::Diagnostic> diags =
       neve::analysis::RunArchLint();
   if (diags.empty()) {
-    std::cout << "archlint: model clean (structural + sweep + golden)\n";
+    std::cout << "archlint: model clean (sweep + golden)\n";
     return 0;
   }
   std::cerr << neve::analysis::FormatDiagnostics(diags);
