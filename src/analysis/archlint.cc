@@ -394,6 +394,19 @@ struct Expect {
   std::optional<RegId> target;  // checked when set
 };
 
+// "trap", "register AFSR0_EL1", "memory TPIDR_EL2 at page offset 0x90".
+std::string Describe(const AccessResolution& r) {
+  std::ostringstream oss;
+  oss << KindName(r.kind);
+  if (r.target != RegId::kNumRegIds) {
+    oss << ' ' << RegName(r.target);
+  }
+  if (r.kind == AccessResolution::Kind::kMemory) {
+    oss << " at page offset 0x" << std::hex << r.mem_offset;
+  }
+  return oss.str();
+}
+
 void Probe(std::vector<Diagnostic>& d, const AccessContext& ctx, SysReg enc,
            bool is_write, const Expect& want, const char* check,
            const std::string& detail) {
@@ -405,10 +418,15 @@ void Probe(std::vector<Diagnostic>& d, const AccessContext& ctx, SysReg enc,
     ok = false;
   }
   if (!ok) {
+    AccessResolution table{.kind = want.kind};
+    if (want.target.has_value()) {
+      table.target = *want.target;
+      table.mem_offset = DeferredPageOffset(*want.target);
+    }
     Diag(d, kSysRegDefsPath, EncDefLine(enc), check,
          std::string(SysRegName(enc)) + (is_write ? " write" : " read") +
-             ": resolved to " + KindName(res.kind) + ", paper table says " +
-             KindName(want.kind) + " (" + detail + ")");
+             ": resolved to " + Describe(res) + ", paper table says " +
+             Describe(table) + " (" + detail + ")");
   }
 }
 

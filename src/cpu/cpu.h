@@ -158,13 +158,8 @@ class Cpu {
   // CPU's current attribution frame; the CPU must have been AttachCpu()d
   // first.
   void SetAttribution(CycleAttribution* attr) {
-    if (attr_ != nullptr) {
-      attr_->BindRedirectPending(index_, nullptr);
-    }
     attr_ = attr;
-    if (attr_ != nullptr) {
-      attr_->BindRedirectPending(index_, &redirect_pending_);
-    }
+    attr_top_ = attr != nullptr ? &attr->Top(index_) : nullptr;
   }
   CycleAttribution* attribution() const { return attr_; }
 
@@ -428,8 +423,8 @@ class Cpu {
   // attribution buckets == sum of CPU clocks) hold by construction.
   void Charge(uint32_t cycles) {
     cycles_ += cycles;
-    if (attr_ != nullptr) {
-      attr_->ChargeCurrent(index_, cycles);
+    if (attr_top_ != nullptr) {
+      *attr_top_->cell += cycles;
     }
   }
 
@@ -438,13 +433,8 @@ class Cpu {
   // GIC vCPU-interface accesses).
   void ChargeAttributed(uint32_t cycles, AttrCat cat) {
     cycles_ += cycles;
-    if (attr_ == nullptr) {
-      return;
-    }
-    if (cat == AttrCat::kVncrRedirect) {
-      redirect_pending_ += cycles;  // folded by attr_ (BindRedirectPending)
-    } else {
-      attr_->ChargeTo(index_, cat, cycles);
+    if (attr_top_ != nullptr) {
+      attr_top_->row[static_cast<size_t>(cat)] += cycles;
     }
   }
 
@@ -464,9 +454,8 @@ class Cpu {
   Observability* obs_ = nullptr;      // not-snapshotted: host wiring
   FaultInjector* fault_ = nullptr;    // not-snapshotted: host wiring
   CycleAttribution* attr_ = nullptr;  // not-snapshotted: host wiring
-  // VNCR-redirect cycles attr_ has not folded into a bucket yet.
-  // not-snapshotted: folded before capture, zeroed on apply
-  uint64_t redirect_pending_ = 0;
+  // not-snapshotted: host wiring, attr_->Top(index_)
+  const CycleAttribution::TopCells* attr_top_ = nullptr;
 
   El el_ = El::kEl2;  // verified structurally on snapshot apply
   uint64_t cycles_ = 0;  // single-mutator: snap restore runs quiesced

@@ -12,6 +12,7 @@
 #include "src/gic/gic.h"
 #include "src/obs/coverage.h"
 #include "src/sim/batch/batch.h"
+#include "src/snap/snap_stack.h"
 #include "src/snap/snapshot.h"
 #include "src/workload/stacks.h"
 
@@ -298,7 +299,7 @@ class Executor {
         env.SetIrqHandler(
             [this](GuestEnv& e, uint32_t intid) { OnIrq(e, intid); });
         RunOps(env, 0, split);
-        cap_status = snap::Serializer::Capture(TargetsOf(src), &img);
+        cap_status = snap::Serializer::Capture(snap::TargetsOf(src), &img);
         captured = cap_status.ok();
       });
       if (!captured) {
@@ -318,7 +319,7 @@ class Executor {
     r_->status = dst.Run([&](GuestEnv& env) {
       env.SetIrqHandler(
           [this](GuestEnv& e, uint32_t intid) { OnIrq(e, intid); });
-      apply_status = snap::Serializer::Apply(TargetsOf(dst), img);
+      apply_status = snap::Serializer::Apply(snap::TargetsOf(dst), img);
       if (!apply_status.ok()) {
         return;
       }
@@ -328,15 +329,6 @@ class Executor {
       r_->status = apply_status;
     }
     Finish(dst.machine(), dst.machine().cpu(0), dst.MeasuredVcpu());
-  }
-
-  static snap::SnapTargets TargetsOf(ArmStack& stack) {
-    snap::SnapTargets t;
-    t.machine = &stack.machine();
-    t.host = &stack.host();
-    t.guest_hyp = stack.guest_hyp();
-    t.device = &stack.device();
-    return t;
   }
 
   void RunOps(GuestEnv& env) { RunOps(env, 0, p_.ops.size()); }

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <map>
+#include <numeric>
 
 #include "src/base/status.h"
 #include "src/obs/report.h"
@@ -22,25 +23,13 @@ constexpr const char* kCatNames[kNumAttrCats] = {
     "mmio_emul",     "vncr_redirect", "idle_wait",
 };
 
-int UnpackVm(uint64_t key) {
-  return static_cast<int16_t>(static_cast<uint16_t>(key >> 32));
-}
-int UnpackVcpu(uint64_t key) {
-  return static_cast<int16_t>(static_cast<uint16_t>(key >> 16));
-}
-AttrLayer UnpackLayer(uint64_t key) {
-  return static_cast<AttrLayer>(static_cast<uint8_t>(key >> 8));
-}
-AttrCat UnpackCat(uint64_t key) {
-  return static_cast<AttrCat>(static_cast<uint8_t>(key));
-}
-
 AttrBucket Unpack(uint64_t key, uint64_t cycles) {
-  return AttrBucket{.vm = UnpackVm(key),
-                    .vcpu = UnpackVcpu(key),
-                    .layer = UnpackLayer(key),
-                    .cat = UnpackCat(key),
-                    .cycles = cycles};
+  return AttrBucket{
+      .vm = static_cast<int16_t>(key >> 32),
+      .vcpu = static_cast<int16_t>(key >> 16),
+      .layer = static_cast<AttrLayer>(static_cast<uint8_t>(key >> 8)),
+      .cat = static_cast<AttrCat>(static_cast<uint8_t>(key)),
+      .cycles = cycles};
 }
 
 bool BucketOrder(const AttrBucket& a, const AttrBucket& b) {
@@ -109,71 +98,111 @@ std::string AttrBucket::StackName() const {
 void CycleAttribution::AttachCpu(int cpu) {
   // host-invariant: CPU indices come from machine construction.
   NEVE_CHECK(cpu >= 0);
-  if (static_cast<size_t>(cpu) >= percpu_.size()) {
-    percpu_.resize(static_cast<size_t>(cpu) + 1);
+  while (percpu_.size() <= static_cast<size_t>(cpu)) {
+    percpu_.push_back(std::make_unique<PerCpu>());
   }
-  PerCpu& pc = percpu_[static_cast<size_t>(cpu)];
+  PerCpu& pc = *percpu_[static_cast<size_t>(cpu)];
   // host-invariant: a CPU attaches exactly once.
   NEVE_CHECK(pc.stack.empty());
-  uint64_t root = PackAttrKey(-1, -1, AttrLayer::kL0, AttrCat::kHostOther);
-  pc.stack.push_back(root);
-  pc.bucket = BucketFor(cpu, root);
+  PushCell(pc, CellFor(pc, PackAttrKey(-1, -1, AttrLayer::kL0,
+                                       AttrCat::kHostOther)));
 }
 
-void CycleAttribution::Fold(PerCpu& pc) {
-  if (pc.redirect_pending != nullptr && *pc.redirect_pending != 0) {
-    pc.buckets[ReplaceAttrCat(pc.stack.back(), AttrCat::kVncrRedirect)] +=
-        *pc.redirect_pending;
-    *pc.redirect_pending = 0;
+void CycleAttribution::Retop(PerCpu& pc) {
+  const uint32_t top = pc.stack.back();
+  pc.top.cell = &pc.cells[top];
+  pc.top.row = pc.top.cell - top % kNumAttrCats;
+}
+
+void CycleAttribution::PushCell(PerCpu& pc, uint32_t cell) {
+  pc.stack.push_back(cell);
+  Retop(pc);
+}
+
+uint32_t CycleAttribution::CellFor(PerCpu& pc, uint64_t key) {
+  const uint64_t context = key & ~UINT64_C(0xFFFF);  // layer, cat bytes zero
+  const size_t block = static_cast<size_t>(
+      std::ranges::find(pc.contexts, context) - pc.contexts.begin());
+  if (block == pc.contexts.size()) {
+    pc.contexts.push_back(context);
+    pc.cells.resize(pc.cells.size() + kCellsPerContext);
   }
+  // PackAttrKey's layer and category bytes pick the cell in the block.
+  return static_cast<uint32_t>(block * kCellsPerContext +
+                               (key >> 8 & 0xFF) * kNumAttrCats + (key & 0xFF));
 }
 
-void CycleAttribution::BindRedirectPending(int cpu, uint64_t* pending) {
-  PerCpu& pc = percpu_[static_cast<size_t>(cpu)];
-  Fold(pc);
-  pc.redirect_pending = pending;
-}
-
-void CycleAttribution::FoldPending() {
-  for (PerCpu& pc : percpu_) {
-    Fold(pc);
-  }
+uint64_t CycleAttribution::KeyOf(const PerCpu& pc, size_t cell) {
+  const size_t in_block = cell % kCellsPerContext;
+  return pc.contexts[cell / kCellsPerContext] |
+         (in_block / kNumAttrCats) << 8 | in_block % kNumAttrCats;
 }
 
 void CycleAttribution::Push(int cpu, int vm, int vcpu, AttrLayer layer,
                             AttrCat cat) {
-  PerCpu& pc = percpu_[static_cast<size_t>(cpu)];
-  Fold(pc);
-  uint64_t key = PackAttrKey(vm, vcpu, layer, cat);
-  pc.stack.push_back(key);
-  pc.bucket = BucketFor(cpu, key);
+  PerCpu& pc = *percpu_[static_cast<size_t>(cpu)];
+  PushCell(pc, CellFor(pc, PackAttrKey(vm, vcpu, layer, cat)));
 }
 
 void CycleAttribution::PushInherit(int cpu, AttrCat cat) {
-  PerCpu& pc = percpu_[static_cast<size_t>(cpu)];
-  Fold(pc);
-  uint64_t key = ReplaceAttrCat(pc.stack.back(), cat);
-  pc.stack.push_back(key);
-  pc.bucket = BucketFor(cpu, key);
+  PerCpu& pc = *percpu_[static_cast<size_t>(cpu)];
+  const uint32_t top = pc.stack.back();
+  PushCell(pc, top - top % kNumAttrCats + static_cast<uint32_t>(cat));
 }
 
 void CycleAttribution::PushInheritLayer(int cpu, AttrLayer layer,
                                         AttrCat cat) {
-  PerCpu& pc = percpu_[static_cast<size_t>(cpu)];
-  Fold(pc);
-  uint64_t top = pc.stack.back();
-  uint64_t key = PackAttrKey(UnpackVm(top), UnpackVcpu(top), layer, cat);
-  pc.stack.push_back(key);
-  pc.bucket = BucketFor(cpu, key);
+  PerCpu& pc = *percpu_[static_cast<size_t>(cpu)];
+  const uint32_t top = pc.stack.back();
+  PushCell(pc, top - top % kCellsPerContext +
+                   static_cast<uint32_t>(layer) * kNumAttrCats +
+                   static_cast<uint32_t>(cat));
 }
 
 void CycleAttribution::Pop(int cpu) {
-  PerCpu& pc = percpu_[static_cast<size_t>(cpu)];
+  PerCpu& pc = *percpu_[static_cast<size_t>(cpu)];
   // host-invariant: scopes are RAII-balanced; the root frame never pops.
   NEVE_CHECK(pc.stack.size() > 1);
-  Fold(pc);
   pc.stack.pop_back();
-  pc.bucket = BucketFor(cpu, pc.stack.back());
+  Retop(pc);
+}
+
+uint64_t CycleAttribution::CurrentKey(int cpu) const {
+  const size_t i = static_cast<size_t>(cpu);
+  if (cpu < 0 || i >= percpu_.size() || percpu_[i]->stack.empty()) {
+    return kNoAttrKey;
+  }
+  return KeyOf(*percpu_[i], percpu_[i]->stack.back());
+}
+
+std::vector<uint64_t> CycleAttribution::FrameKeys(size_t cpu) const {
+  const PerCpu& pc = *percpu_[cpu];
+  std::vector<uint64_t> keys(pc.stack.size());
+  std::ranges::transform(pc.stack, keys.begin(),
+                         [&pc](uint32_t cell) { return KeyOf(pc, cell); });
+  return keys;
+}
+
+CycleAttribution::ShardRows CycleAttribution::Rows(size_t cpu) const {
+  const PerCpu& pc = *percpu_[cpu];
+  ShardRows rows;
+  for (size_t c = 0; c < pc.cells.size(); ++c) {
+    if (pc.cells[c] != 0 || std::ranges::count(pc.stack, c) != 0) {
+      rows.emplace_back(KeyOf(pc, c), pc.cells[c]);
+    }
+  }
+  std::ranges::sort(rows);
+  return rows;
+}
+
+void CycleAttribution::RestoreRows(size_t cpu, const ShardRows& rows) {
+  PerCpu& pc = *percpu_[cpu];
+  std::ranges::fill(pc.cells, 0);
+  for (const auto& [key, cycles] : rows) {
+    const uint32_t cell = CellFor(pc, key);
+    pc.cells[cell] = cycles;
+  }
+  Retop(pc);
 }
 
 void CycleAttribution::RecordFlight(const std::string& reason) {
@@ -190,25 +219,20 @@ void CycleAttribution::RecordFlight(const std::string& reason) {
 }
 
 std::vector<AttrBucket> CycleAttribution::Snapshot() const {
-  // Merge-sum the per-CPU shards: the same (vm, vcpu, layer, cat) key exists
-  // in every shard whose CPU charged it (every CPU has its own root-frame
-  // slot, for one).
+  // Merge-sum the per-CPU shards: the same (vm, vcpu, layer, cat) key has a
+  // cell in every shard whose CPU ran that context.
   std::map<uint64_t, uint64_t> merged;
-  for (const PerCpu& pc : percpu_) {
-    for (const auto& [key, cycles] : pc.buckets) {
-      merged[key] += cycles;
-    }
-    if (pc.redirect_pending != nullptr && *pc.redirect_pending != 0) {
-      merged[ReplaceAttrCat(pc.stack.back(), AttrCat::kVncrRedirect)] +=
-          *pc.redirect_pending;
+  for (const auto& pc : percpu_) {
+    for (size_t c = 0; c < pc->cells.size(); ++c) {
+      if (pc->cells[c] != 0) {
+        merged[KeyOf(*pc, c)] += pc->cells[c];
+      }
     }
   }
   std::vector<AttrBucket> out;
   out.reserve(merged.size());
   for (const auto& [key, cycles] : merged) {
-    if (cycles != 0) {
-      out.push_back(Unpack(key, cycles));
-    }
+    out.push_back(Unpack(key, cycles));
   }
   std::sort(out.begin(), out.end(), BucketOrder);
   return out;
@@ -216,13 +240,8 @@ std::vector<AttrBucket> CycleAttribution::Snapshot() const {
 
 uint64_t CycleAttribution::TotalCycles() const {
   uint64_t total = 0;
-  for (const PerCpu& pc : percpu_) {
-    for (const auto& [key, cycles] : pc.buckets) {
-      total += cycles;
-    }
-    if (pc.redirect_pending != nullptr) {
-      total += *pc.redirect_pending;
-    }
+  for (const auto& pc : percpu_) {
+    total = std::accumulate(pc->cells.begin(), pc->cells.end(), total);
   }
   return total;
 }

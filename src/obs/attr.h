@@ -8,41 +8,43 @@
 // every cycle charged on every simulated CPU into exactly one bucket keyed by
 // (vm, vcpu, layer, category).
 //
-// Mechanism: each CPU carries a stack of attribution *frames*. A frame is a
-// packed (vm, vcpu, layer, category) key plus a pointer to that key's bucket.
-// Layers push frames around meaningful regions (a trap episode, a world
-// switch phase, guest execution) via the AttrScope RAII helper; Cpu::Charge
-// adds to the top frame's bucket with a single pointer-chase -- no map lookup
-// on the hot path. Scopes are exception-safe: a GuestFaultException unwinding
-// through nested guest frames pops every frame it crossed.
+// Mechanism: each CPU owns one block of cycle cells (3 layers x 19
+// categories) per (vm, vcpu) context it has run, and a stack of frames, each
+// a cell index. Layers push frames around meaningful regions (a trap episode,
+// a world switch phase, guest execution) via the AttrScope RAII helper;
+// Cpu::Charge adds to the top frame's cell through a cached pointer. Push
+// finds or appends its context's block; the other frame operations and
+// ChargeTo are arithmetic on the top cell's index. Scopes are exception-safe:
+// a GuestFaultException unwinding through nested guest frames pops every
+// frame it crossed.
 //
-// Conservation contract: the sum over all buckets equals the sum of the
+// Conservation contract: the sum over all cells equals the sum of the
 // machine's CPU cycle counters at all times (attr_test.cc asserts this on
 // every stack configuration). Two rules make that hold:
 //   1. every cycle mutation goes through Cpu::Charge / Cpu::AdvanceTo, both
 //      of which attribute, and
-//   2. Pop never discards a frame's charges -- charges land in buckets, not
-//      in frames.
+//   2. Pop never discards a frame's charges -- charges land in cells, not in
+//      frames.
 //
 // Overhead contract: with no CycleAttribution attached (attr_ == nullptr in
 // Cpu) the cost is one predicted-not-taken branch per Charge; with one
 // attached it is one add through a cached pointer. bench/simcore_gbench.cc's
-// BM_Vel2SysRegBurstAttr vs BM_Vel2SysRegBurst pair and the ctest overhead
-// guard keep the attached path within 3%.
+// BM_Vel2SysRegBurstAttr vs BM_Vel2SysRegBurstCached pair and the ctest
+// overhead guard keep the attached path within 3%.
 //
-// Thread safety: the bucket store is sharded per CPU, so concurrent lanes of
-// the SMP engine (one lane per CPU, see sim/smp.h) charge without sharing a
-// single map -- notably the root (host) frame, which every CPU used to alias
-// to one bucket slot. The read side (Snapshot/TotalCycles) merge-sums the
-// shards; it runs only when no lane is executing. The flight-recorder ring
-// is the one cross-CPU mutation and takes "obs.attr_flights".
+// Thread safety: each CPU's cells live in its own heap shard, and only that
+// CPU's lane of the SMP engine (one lane per CPU, see sim/smp.h) writes
+// them. The read side (Snapshot/TotalCycles) merge-sums the shards; it runs
+// only when no lane is executing. The flight-recorder ring is the one
+// cross-CPU mutation and takes "obs.attr_flights".
 
 #ifndef NEVE_SRC_OBS_ATTR_H_
 #define NEVE_SRC_OBS_ATTR_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/base/mutex.h"
@@ -53,7 +55,7 @@ namespace neve {
 class JsonWriter;
 
 namespace snap {
-class Serializer;  // src/snap: serializes bucket shards and flight records
+class Serializer;  // src/snap: serializes the shards and flight records
 }  // namespace snap
 
 // Which virtualization layer the cycles belong to. L0 is the host hypervisor
@@ -107,10 +109,6 @@ inline constexpr uint64_t PackAttrKey(int vm, int vcpu, AttrLayer layer,
          static_cast<uint64_t>(static_cast<uint8_t>(cat));
 }
 
-inline constexpr uint64_t ReplaceAttrCat(uint64_t key, AttrCat cat) {
-  return (key & ~UINT64_C(0xFF)) | static_cast<uint64_t>(cat);
-}
-
 // Sentinel for "no attribution context" (e.g. a fault injected on a CPU with
 // no attribution attached). Distinct from every packable key: the layer byte
 // is out of range.
@@ -151,48 +149,30 @@ class CycleAttribution {
   // Push inheriting vm/vcpu, overriding layer.
   void PushInheritLayer(int cpu, AttrLayer layer, AttrCat cat);
   void Pop(int cpu);
-  size_t Depth(int cpu) const { return percpu_[cpu].stack.size(); }
+  size_t Depth(int cpu) const { return percpu_[cpu]->stack.size(); }
 
   // The packed key of `cpu`'s current top frame, or kNoAttrKey when that CPU
   // was never attached. Used to tag externally-recorded events (fault
   // injections) with the attribution context they happened under.
-  uint64_t CurrentKey(int cpu) const {
-    if (cpu < 0 || static_cast<size_t>(cpu) >= percpu_.size() ||
-        percpu_[static_cast<size_t>(cpu)].stack.empty()) {
-      return kNoAttrKey;
-    }
-    return percpu_[static_cast<size_t>(cpu)].stack.back();
-  }
-
-  // Binds `cpu`'s VNCR-redirect accumulator, a counter owned by that CPU:
-  // the NEVE deferred-access redirect is the hottest single-charge site, so
-  // the CPU adds its cycles to that plain counter, and the attribution folds
-  // them into the current frame's kVncrRedirect bucket before the frame
-  // changes and counts them in every read. Rebinding (or nullptr) folds
-  // what the previous counter holds first.
-  void BindRedirectPending(int cpu, uint64_t* pending);
-  // Folds every bound accumulator into its bucket (the snapshot layer reads
-  // the bucket maps directly).
-  void FoldPending();
+  uint64_t CurrentKey(int cpu) const;
 
   // --- the hot path --------------------------------------------------------
-  // Charge to the current top frame's bucket: one add through a cached
+  // A CPU's top frame cell and the first cell of its (context, layer) row.
+  // Frame changes re-point both; the struct's address is fixed from
+  // AttachCpu on, so Cpu::Charge adds through a pointer to it.
+  struct TopCells {
+    uint64_t* cell = nullptr;
+    uint64_t* row = nullptr;
+  };
+  const TopCells& Top(int cpu) const { return percpu_[cpu]->top; }
+  // Charge to the current top frame's cell: one add through a cached
   // pointer.
-  void ChargeCurrent(int cpu, uint64_t cycles) {
-    *percpu_[static_cast<size_t>(cpu)].bucket += cycles;
-  }
-  // Charge to the current frame's context but a different category, without
-  // pushing a frame (for single-charge sites like GIC vCPU-interface
-  // accesses). A one-entry memo per CPU keeps repeated redirects at
-  // pointer-add cost.
+  void ChargeCurrent(int cpu, uint64_t cycles) { *Top(cpu).cell += cycles; }
+  // Charge to the current frame's context and layer but a different
+  // category, without pushing a frame (for single-charge sites like VNCR
+  // redirects and GIC vCPU-interface accesses).
   void ChargeTo(int cpu, AttrCat cat, uint64_t cycles) {
-    PerCpu& pc = percpu_[static_cast<size_t>(cpu)];
-    uint64_t key = ReplaceAttrCat(pc.stack.back(), cat);
-    if (key != pc.memo_key) {
-      pc.memo_key = key;
-      pc.memo_bucket = &pc.buckets[key];
-    }
-    *pc.memo_bucket += cycles;
+    Top(cpu).row[static_cast<size_t>(cat)] += cycles;
   }
 
   // --- flight recorder -----------------------------------------------------
@@ -218,7 +198,7 @@ class CycleAttribution {
   // All nonzero buckets, sorted by (vm, vcpu, layer, cat) for deterministic
   // output.
   std::vector<AttrBucket> Snapshot() const;
-  // Sum over all buckets; the conservation invariant compares this against
+  // Sum over all cells; the conservation invariant compares this against
   // the sum of the machine's CPU cycle counters.
   uint64_t TotalCycles() const;
 
@@ -239,29 +219,42 @@ class CycleAttribution {
   static void SortBuckets(std::vector<AttrBucket>* rows);
 
  private:
+  // Reads and restores the shards in key form (below) and the flight ring.
   friend class snap::Serializer;
 
+  using ShardRows = std::vector<std::pair<uint64_t, uint64_t>>;  // key, cycles
+
+  // A context's block holds (layer, cat) at cell layer * kNumAttrCats + cat.
+  static constexpr uint32_t kCellsPerContext = kNumAttrLayers * kNumAttrCats;
+
   struct PerCpu {
-    std::vector<uint64_t> stack;  // packed keys, bottom is the root frame
-    // This CPU's bucket shard. std::unordered_map guarantees reference
-    // stability under insertion (and under moving the map itself), so
-    // cached bucket pointers stay valid as new keys appear. Only this CPU's
-    // lane writes the shard; the merge-summing read side runs quiesced.
-    std::unordered_map<uint64_t, uint64_t> buckets;
-    uint64_t* bucket = nullptr;   // cached bucket of stack.back()
-    uint64_t memo_key = ~UINT64_C(0);  // ChargeTo memo (impossible key)
-    uint64_t* memo_bucket = nullptr;
-    uint64_t* redirect_pending = nullptr;  // see BindRedirectPending
+    // Packed key of each cell block's (vm, vcpu) context, layer and category
+    // bits zero; block i holds cells [i * kCellsPerContext, +kCellsPerContext).
+    std::vector<uint64_t> contexts;
+    std::vector<uint64_t> cells;
+    std::vector<uint32_t> stack;  // frames: cell indices, bottom is the root
+    // Points into cells at stack.back(). Appending a block moves the cells,
+    // so every call that can append re-points it (Retop).
+    TopCells top;
   };
 
-  // Moves pc's pending redirect cycles into the current frame's bucket.
-  static void Fold(PerCpu& pc);
+  static void Retop(PerCpu& pc);
+  static void PushCell(PerCpu& pc, uint32_t cell);
+  // The cell of `key` in pc, appending a block when pc never met its context.
+  static uint32_t CellFor(PerCpu& pc, uint64_t key);
+  static uint64_t KeyOf(const PerCpu& pc, size_t cell);
 
-  uint64_t* BucketFor(int cpu, uint64_t key) {
-    return &percpu_[static_cast<size_t>(cpu)].buckets[key];
-  }
+  size_t NumCpus() const { return percpu_.size(); }
+  // The packed keys of `cpu`'s frame stack, bottom first.
+  std::vector<uint64_t> FrameKeys(size_t cpu) const;
+  // `cpu`'s cells on the frame stack plus every nonzero cell, sorted by key.
+  ShardRows Rows(size_t cpu) const;
+  // Replaces `cpu`'s cycles with `rows`, found by key (never by cell index:
+  // another CPU may have met its contexts in another order).
+  void RestoreRows(size_t cpu, const ShardRows& rows);
 
-  std::vector<PerCpu> percpu_;
+  // One heap shard per CPU, so TopCells stay put as more CPUs attach.
+  std::vector<std::unique_ptr<PerCpu>> percpu_;
   mutable Mutex flights_mu_{"obs.attr_flights"};
   std::vector<FlightRecord> flights_ GUARDED_BY(flights_mu_);
   size_t flight_next_ GUARDED_BY(flights_mu_) = 0;

@@ -170,17 +170,15 @@ void SnapStep(GuestEnv& env, uint64_t seed, uint64_t step,
   }
 }
 
+SnapTargets TargetsOf(ArmStack& stack) {
+  return {.machine = &stack.machine(),
+          .host = &stack.host(),
+          .guest_hyp = stack.guest_hyp(),
+          .device = &stack.device()};
+}
+
 SnapRunner::SnapRunner(const SnapSpec& spec)
     : spec_(spec), stack_(spec.cfg, spec.num_cpus) {}
-
-SnapTargets SnapRunner::Targets() {
-  SnapTargets t;
-  t.machine = &stack_.machine();
-  t.host = &stack_.host();
-  t.guest_hyp = stack_.guest_hyp();
-  t.device = &stack_.device();
-  return t;
-}
 
 Status SnapRunner::Run(const SnapHooks& hooks) {
   return spec_.num_cpus > 1 ? RunSmp(hooks) : RunSingle(hooks);
@@ -190,7 +188,7 @@ Status SnapRunner::RunSingle(const SnapHooks& hooks) {
   Status cap = Status::Ok();
   Status app = Status::Ok();
   Status run = stack_.Run([this, &hooks, &cap, &app](GuestEnv& env) {
-    SnapTargets t = Targets();
+    SnapTargets t = TargetsOf(stack_);
     uint64_t s0 = 0;
     if (hooks.resume_image != nullptr) {
       app = Serializer::Apply(t, *hooks.resume_image);
@@ -285,9 +283,9 @@ Status SnapRunner::RunSmp(const SnapHooks& hooks) {
         SmpEngine::Current()->Quiesce(0, [this, resuming, &hooks, &cap,
                                           &app] {
           if (resuming) {
-            app = Serializer::Apply(Targets(), *hooks.resume_image);
+            app = Serializer::Apply(TargetsOf(stack_), *hooks.resume_image);
           } else if (hooks.checkpoint_out != nullptr) {
-            cap = Serializer::Capture(Targets(), hooks.checkpoint_out);
+            cap = Serializer::Capture(TargetsOf(stack_), hooks.checkpoint_out);
           }
         });
         if (!cap.ok() || !app.ok()) {

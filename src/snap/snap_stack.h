@@ -53,6 +53,11 @@ std::string ToString(const EndState& e);
 
 EndState CaptureEndState(ArmStack& stack);
 
+// The stack's snapshot targets. For nested stacks the guest hypervisor only
+// exists while the workload runs, so this is meaningful inside the workload
+// (and for EndState comparison after a run).
+SnapTargets TargetsOf(ArmStack& stack);
+
 // One deterministic workload step: a small op mix (compute, loads/stores,
 // hypercalls, sysreg writes) drawn from an Rng keyed by (seed, step), so any
 // step is reproducible in isolation. Exposed for the fuzz harness.
@@ -105,10 +110,6 @@ class SnapRunner {
   Status Run(const SnapHooks& hooks = SnapHooks{});
 
   ArmStack& stack() { return stack_; }
-  // The stack's snapshot targets. For nested stacks the guest hypervisor
-  // only exists while the workload runs, so this is meaningful inside hooks
-  // (and for EndState comparison after a run).
-  SnapTargets Targets();
   EndState End() { return CaptureEndState(stack_); }
 
  private:

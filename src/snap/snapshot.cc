@@ -569,16 +569,11 @@ Status Serializer::Capture(const SnapTargets& t, Image* out) {
   }
   img.mem.next_guest_ram = m.next_guest_ram_;
 
-  // ATTR: per-CPU bucket shards (every key, including zero-cycle ones -- the
-  // restored map must have the exact same shape for reference stability),
-  // frame stacks, and the flight-recorder ring.
+  // ATTR: each CPU's shard in key form (frame keys, and rows for the cells
+  // on the frame stack plus every nonzero cell), and the flight ring.
   CycleAttribution& attr = m.attr_;
-  attr.FoldPending();
-  for (const auto& pc : attr.percpu_) {
-    AttrCpuImage& ai = img.attr.percpu.emplace_back();
-    ai.stack = pc.stack;
-    ai.buckets.assign(pc.buckets.begin(), pc.buckets.end());
-    std::sort(ai.buckets.begin(), ai.buckets.end());
+  for (size_t i = 0; i < attr.NumCpus(); ++i) {
+    img.attr.percpu.push_back({attr.FrameKeys(i), attr.Rows(i)});
   }
   {
     MutexLock lock(attr.flights_mu_);
@@ -828,18 +823,19 @@ Status Serializer::Apply(const SnapTargets& t, const Image& img) {
   }
 
   CycleAttribution& attr = m.attr_;
-  if (img.attr.percpu.size() != attr.percpu_.size()) {
+  if (img.attr.percpu.size() != attr.NumCpus()) {
     return Mismatch("attribution shard count");
   }
-  // Bucket layers and categories index the attribution name tables.
+  // Bucket layers and categories index the attribution name tables, and a
+  // row's layer and category pick its cell within the context's block.
   auto bad_bucket = [](const AttrBucket& b) {
     return static_cast<int>(b.layer) >= kNumAttrLayers ||
            static_cast<int>(b.cat) >= kNumAttrCats;
   };
   const Status bad_bucket_status = Status::InvalidArgument(
       "snapshot: attribution bucket layer or category out of range");
-  for (size_t i = 0; i < attr.percpu_.size(); ++i) {
-    if (img.attr.percpu[i].stack != attr.percpu_[i].stack) {
+  for (size_t i = 0; i < attr.NumCpus(); ++i) {
+    if (img.attr.percpu[i].stack != attr.FrameKeys(i)) {
       return Mismatch("attribution frame stack of cpu " + std::to_string(i));
     }
     if (img.attr.percpu[i].stack.empty()) {
@@ -1005,23 +1001,11 @@ Status Serializer::Apply(const SnapTargets& t, const Image& img) {
   }
 
   // ------------------------------------------------------------------
-  // Phase 6: attribution rebuild. The bucket maps are cleared and refilled
-  // with the exact captured key set (including zero-cycle keys), then the
-  // cached hot-path pointers are recomputed against the new map.
+  // Phase 6: attribution rebuild. Each CPU's cycles are replaced by the
+  // captured rows, looked up by key; the frame stacks matched in phase 1.
   // ------------------------------------------------------------------
-  for (size_t i = 0; i < attr.percpu_.size(); ++i) {
-    CycleAttribution::PerCpu& pc = attr.percpu_[i];
-    const AttrCpuImage& ai = img.attr.percpu[i];
-    pc.buckets.clear();
-    for (const auto& [key, cycles] : ai.buckets) {
-      pc.buckets[key] = cycles;
-    }
-    pc.bucket = &pc.buckets[pc.stack.back()];
-    pc.memo_key = ~UINT64_C(0);
-    pc.memo_bucket = nullptr;
-    if (pc.redirect_pending != nullptr) {
-      *pc.redirect_pending = 0;  // the target's own run, replaced above
-    }
+  for (size_t i = 0; i < attr.NumCpus(); ++i) {
+    attr.RestoreRows(i, img.attr.percpu[i].buckets);
   }
   {
     MutexLock lock(attr.flights_mu_);

@@ -104,7 +104,9 @@ struct MemImage {
 
 struct AttrCpuImage {
   std::vector<uint64_t> stack;  // packed frame keys; verified, not overwritten
-  // This CPU's bucket shard, sorted by key for wire determinism.
+  // This CPU's (key, cycles) rows: the cells on its frame stack plus every
+  // nonzero cell, sorted by key. Keys, not cell indices, travel: restore
+  // looks each cell up by key.
   std::vector<std::pair<uint64_t, uint64_t>> buckets;
   bool operator==(const AttrCpuImage&) const = default;
 };

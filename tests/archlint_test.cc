@@ -65,6 +65,22 @@ TEST(ArchLintSeededTest, UnknownGoldenRegisterIsCaught) {
   EXPECT_TRUE(HasCheck(CheckGoldenTables(g), "golden-missing-register"));
 }
 
+TEST(ArchLintSeededTest, GoldenProbeNamesTheRegisterReached) {
+  GoldenTables g = GoldenTables::Paper();
+  // Claim AFSR0_EL2 is a Table 3 deferred register: the model redirects it
+  // to AFSR0_EL1, and the probe's diagnostic must say so by name.
+  auto& redirect = g.table4_redirect;
+  auto it = std::find(redirect.begin(), redirect.end(), "AFSR0_EL2");
+  ASSERT_NE(it, redirect.end());
+  redirect.erase(it);
+  g.table3_vm_trap_control.push_back("AFSR0_EL2");
+  std::vector<Diagnostic> d = CheckGoldenTables(g);
+  EXPECT_TRUE(std::any_of(d.begin(), d.end(), [](const Diagnostic& x) {
+    return x.check == "golden-table3-deferred" &&
+           x.message.find("AFSR0_EL1") != std::string::npos;
+  })) << FormatDiagnostics(d);
+}
+
 // --- diagnostics carry usable locations --------------------------------------
 
 TEST(ArchLintTest, TableRowsHaveSourceLines) {

@@ -138,6 +138,10 @@ TEST(ParallelForTest, ConcurrentCallersEachUseTheirOwnWorkers) {
   std::set<std::thread::id> ids[2];
   std::vector<std::atomic<int>> ran[2] = {std::vector<std::atomic<int>>(64),
                                           std::vector<std::atomic<int>>(64)};
+  // A caller that exits joins its workers, and a later thread may reuse
+  // their ids; both callers stay until both have taken theirs, so every id
+  // compared below belongs to a live thread.
+  std::latch both_gathered(2);
   std::vector<std::thread> callers;
   for (int c = 0; c < 2; ++c) {
     callers.emplace_back([&, c] {
@@ -146,6 +150,7 @@ TEST(ParallelForTest, ConcurrentCallersEachUseTheirOwnWorkers) {
                     [&](size_t i) { ran[c][i].fetch_add(1); });
       }
       ids[c] = ThreadsOfFullCall(kThreads);
+      both_gathered.arrive_and_wait();
     });
   }
   for (std::thread& t : callers) {

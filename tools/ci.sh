@@ -9,8 +9,10 @@
 #                          workloads: bench fan-out, obsreport and stackfuzz
 #                          at --threads=8, a --threads byte-identity
 #                          check on the bench output, the mem_test and
-#                          lock_order_test stress tests, and fuzz_test (one
-#                          case's stack variants on concurrent threads)
+#                          lock_order_test stress tests, parallel_test (the
+#                          kept workers), smp_test (the lanes of one Machine
+#                          on 1-4 host threads) and fuzz_test (one case's
+#                          stack variants on concurrent threads)
 #   tools/ci.sh tidy       clang-tidy over src/ (skipped when not installed)
 #   tools/ci.sh smoke      simcore_gbench smoke (BENCH_simcore.json) and the
 #                          guest-ops/sec and stack-construction perf ratchet
@@ -104,7 +106,8 @@ run_tsan() {
     "-DNEVE_SANITIZE=thread" >/dev/null
   cmake --build "$build_dir" -j "$JOBS" --target \
     table1_micro_v83 fig2_applications smp_hackbench obsreport \
-    stackfuzz mem_test lock_order_test parallel_test fuzz_test >/dev/null
+    stackfuzz mem_test lock_order_test parallel_test smp_test fuzz_test \
+    >/dev/null
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"; trap - RETURN' RETURN
@@ -130,12 +133,15 @@ run_tsan() {
   # The stress tests for the lock-free fast paths: eight threads
   # first-touching one PhysMem's page directory, and the lock-order
   # detector's per-thread edge cache. parallel_test checks the kept
-  # workers; fuzz_test runs one case's stack variants on concurrent threads
-  # under its own assertions.
-  echo "==> [tsan] mem_test + lock_order_test + parallel_test + fuzz_test"
+  # workers; smp_test runs the vCPU lanes of one Machine on 1-4 host
+  # threads, the concurrent writers of the per-CPU attribution cells;
+  # fuzz_test runs one case's stack variants on concurrent threads under its
+  # own assertions.
+  echo "==> [tsan] mem_test + lock_order_test + parallel_test + smp_test + fuzz_test"
   "$build_dir/tests/mem_test" >/dev/null
   "$build_dir/tests/lock_order_test" >/dev/null
   "$build_dir/tests/parallel_test" >/dev/null
+  "$build_dir/tests/smp_test" >/dev/null
   "$build_dir/tests/fuzz_test" >/dev/null
   echo "==> [tsan] OK"
 }
