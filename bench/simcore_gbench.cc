@@ -220,6 +220,33 @@ NEVE_GUEST_OPS_BENCH(nested_neve_vhe, StackConfig::NestedNeve(true));
 
 #undef NEVE_GUEST_OPS_BENCH
 
+// A fresh nested v8.3 stack per item, booted through an empty workload:
+// construction, the guest hypervisor's boot and the first L1->L2 entry,
+// then teardown -- the fixed cost of every mode-B fuzz variant. The
+// Observed twin records metrics and trace events throughout, as the fuzz
+// campaigns do; tools/perf_ratchet.txt floors the ratio of the two.
+void RunNestedBootV83(benchmark::State& state, bool observed) {
+  for (auto _ : state) {
+    ArmStack stack(StackConfig::NestedV83(false), 1);
+    stack.machine().obs().set_enabled(observed);
+    benchmark::DoNotOptimize(stack.Run([](GuestEnv&) {}).ok());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_NestedBootV83(benchmark::State& state) {
+  RunNestedBootV83(state, /*observed=*/false);
+}
+BENCHMARK(BM_NestedBootV83);
+
+void BM_NestedBootV83Observed(benchmark::State& state) {
+  RunNestedBootV83(state, /*observed=*/true);
+}
+BENCHMARK(BM_NestedBootV83Observed);
+
+// Builds the machine, the host hypervisor and one nested NEVE stack's 64 MB
+// L1 VM with its Stage-2 table; the guest hypervisor and its nested VM come
+// only when a workload runs (BM_NestedBootV83).
 void BM_StackConstruction(benchmark::State& state) {
   for (auto _ : state) {
     ArmStack stack(StackConfig::NestedNeve(false), 1);

@@ -1,5 +1,7 @@
 #include "src/base/parallel.h"
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -10,11 +12,44 @@
 namespace neve::parallel_internal {
 namespace {
 
+// How long each side of a hand-off polls before it blocks: a worker for
+// its next call, the calling thread for the workers still in its call.
+// Waking a parked thread costs a futex wake and a reschedule on each side,
+// and the fuzzer's calls come tens of microseconds apart (DESIGN.md 6i).
+// A constant, not a setting: it only bounds the CPU time a wait may burn.
+constexpr std::chrono::microseconds kSpin{50};
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Polls done() for up to kSpin; returns whether it came true.
+template <typename Done>
+bool SpinUntil(Done done) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpin;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    CpuRelax();
+  }
+  return true;
+}
+
 // The worker threads kept for one nesting depth of one calling thread's
 // ParallelFor calls. Uses std::mutex + std::condition_variable directly, as
 // SmpEngine does, because workers park on a condition variable and
 // neve::Mutex has none. The lock-order detector does not need to see mu_:
 // no code outside this class runs while it is held.
+//
+// A call is published under mu_ and joined under mu_; the atomics let each
+// side poll for the other without the lock before parking (SpinUntil). Each
+// worker parks on its own condition variable, so a call wakes only the
+// workers it uses.
 class WorkerPool {
  public:
   WorkerPool() = default;
@@ -26,9 +61,11 @@ class WorkerPool {
       std::lock_guard<std::mutex> lock(mu_);
       stop_ = true;
     }
-    wake_.notify_all();
-    for (std::thread& t : workers_) {
-      t.join();
+    for (const std::unique_ptr<Worker>& w : workers_) {
+      w->wake.notify_one();
+    }
+    for (const std::unique_ptr<Worker>& w : workers_) {
+      w->thread.join();
     }
   }
 
@@ -37,25 +74,41 @@ class WorkerPool {
     {
       std::lock_guard<std::mutex> lock(mu_);
       while (workers_.size() < helpers) {
-        workers_.emplace_back([this, k = workers_.size()] { WorkerMain(k); });
+        Worker& w = *workers_.emplace_back(std::make_unique<Worker>());
+        w.thread = std::thread(
+            [this, &w, k = workers_.size() - 1] { WorkerMain(k, w); });
       }
       work_ = &work;
       helpers_ = helpers;
       ++call_;
     }
-    wake_.notify_all();
+    // Only this thread changes workers_, so it reads it unlocked.
+    for (unsigned k = 0; k < helpers; ++k) {
+      workers_[k]->wake.notify_one();
+    }
     work();
-    std::unique_lock<std::mutex> lock(mu_);
-    work_ = nullptr;
-    done_.wait(lock, [&] { return running_ == 0; });
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      work_ = nullptr;  // no worker joins the call from here on
+    }
+    if (!SpinUntil([&] { return running_ == 0; })) {
+      std::unique_lock<std::mutex> lock(mu_);
+      done_.wait(lock, [&] { return running_ == 0; });
+    }
   }
 
  private:
-  void WorkerMain(size_t k) {
+  struct Worker {
+    std::condition_variable wake;  // a call for this worker, or stop
+    std::thread thread;
+  };
+
+  void WorkerMain(size_t k, Worker& self) {
     uint64_t joined = 0;  // the last call this worker ran work() for
-    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      wake_.wait(lock, [&] {
+      SpinUntil([&] { return call_ != joined || stop_; });
+      std::unique_lock<std::mutex> lock(mu_);
+      self.wake.wait(lock, [&] {
         return stop_ || (work_ != nullptr && call_ != joined && k < helpers_);
       });
       if (stop_) {
@@ -74,15 +127,16 @@ class WorkerPool {
   }
 
   std::mutex mu_;
-  std::condition_variable wake_;  // a call started, or the pool stops
   std::condition_variable done_;  // the last running worker returned
-  // All guarded by mu_.
+  // Guarded by mu_.
   const std::function<void()>* work_ = nullptr;  // null between calls
   unsigned helpers_ = 0;  // workers k < helpers_ join the current call
-  uint64_t call_ = 0;     // calls started so far
-  unsigned running_ = 0;  // workers inside work()
-  bool stop_ = false;
-  std::vector<std::thread> workers_;  // last: the threads use the above
+  // Written under mu_, polled without it.
+  std::atomic<uint64_t> call_{0};     // calls started so far
+  std::atomic<unsigned> running_{0};  // workers inside work()
+  std::atomic<bool> stop_{false};
+  // Last: the threads use the above. Changed only by the calling thread.
+  std::vector<std::unique_ptr<Worker>> workers_;
 };
 
 }  // namespace

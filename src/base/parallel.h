@@ -10,14 +10,17 @@
 // parallel and read them serially afterwards: output stays byte-for-byte
 // deterministic regardless of thread count.
 //
-// The pool's worker threads are kept between calls, parked on a condition
-// variable: the fuzzer's minimizer makes hundreds of calls per campaign,
-// each a fraction of a millisecond long, and starting and joining three
-// threads cost a 4-thread call 40 us or more over waking parked ones
-// (DESIGN.md 6i). The workers belong to the thread that calls ParallelFor,
-// one set per nesting depth of its calls, and exit with it. So two threads
-// calling at once never share workers, and a ParallelFor nested inside fn
-// -- on a worker or on the calling thread -- gets a set of its own.
+// The pool's worker threads are kept between calls: the fuzzer's minimizer
+// makes hundreds of calls per campaign, each a fraction of a millisecond
+// long, and starting and joining three threads cost a 4-thread call 40 us
+// or more over waking kept ones (DESIGN.md 6i). A worker polls for its next
+// call, and the calling thread for the workers still in its call, for a
+// bounded 50 us before parking on a condition variable, which saves each
+// hand-off a futex wake. The workers belong to the thread that calls
+// ParallelFor, one set per nesting depth of its calls, and exit with it.
+// So two threads calling at once never share workers, and a ParallelFor
+// nested inside fn -- on a worker or on the calling thread -- gets a set of
+// its own.
 
 #ifndef NEVE_SRC_BASE_PARALLEL_H_
 #define NEVE_SRC_BASE_PARALLEL_H_

@@ -45,6 +45,8 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 #include "src/cpu/trap_rules.h"
 
@@ -59,8 +61,11 @@ class ResolutionCache {
   // of a NEVE round trip (see above) plus headroom.
   static constexpr size_t kNumBanks = 8;
 
+  // Leaves every bank's slots uninitialized, so a Cpu's construction pays
+  // no 50 KB fill: a bank's slots are zeroed when it first takes a
+  // generation (Claim), and only the current bank is ever read.
   ResolutionCache() {
-    banks_[0].generation = 1;
+    Claim(banks_[0]);
     banks_[0].tagged = true;  // the reset configuration: HCR = VNCR = 0
   }
 
@@ -133,13 +138,12 @@ class ResolutionCache {
         victim = i;
       }
     }
-    uint64_t generation = NextGeneration();
     Bank& b = banks_[victim];
+    Claim(b);
     b.hcr = hcr;
     b.vncr = vncr;
     b.tagged = true;
     b.last_used = tick_;
-    b.generation = generation;
     current_ = victim;
     ++invalidations_;
   }
@@ -150,11 +154,10 @@ class ResolutionCache {
   // for callers that change configuration without going through
   // OnConfigChange (archlint's sweeps build AccessContexts directly).
   void Invalidate() {
-    uint64_t generation = NextGeneration();
     for (Bank& b : banks_) {
       b.tagged = false;
     }
-    banks_[current_].generation = generation;
+    Claim(banks_[current_]);
     ++invalidations_;
   }
 
@@ -184,16 +187,22 @@ class ResolutionCache {
   uint64_t invalidations() const { return invalidations_; }
   uint64_t revalidations() const { return revalidations_; }
 
+  // Test seam: moves the generation counter to the end of its 32-bit stamp
+  // range, so the next fresh generation wraps the stamps (Claim) without
+  // 2^32 configuration changes first.
+  void SkipToStampWrapForTest() { next_generation_ |= 0xFFFF'FFFFull; }
+
  private:
   // One memoized resolution in eight bytes, so eight banks fit in less
   // memory than four banks of unpacked entries did: a 32-bit generation
   // stamp, the target register, and the kind and VNCR page offset in one
-  // half-word.
+  // half-word. Trivially default-constructible, so a bank's slots stay
+  // uninitialized until the bank is claimed; a zeroed entry is unfilled.
   struct Entry {
-    uint32_t stamp = 0;  // valid iff == Stamp(owning bank's generation)
-    RegId target = RegId::kNumRegIds;
-    uint16_t kind : 3 = 0;
-    uint16_t mem_offset : 13 = 0;
+    uint32_t stamp;  // valid iff == Stamp(owning bank's generation)
+    RegId target;
+    uint16_t kind : 3;
+    uint16_t mem_offset : 13;
 
     static Entry Pack(uint32_t stamp, const AccessResolution& r) {
       return {.stamp = stamp,
@@ -208,13 +217,14 @@ class ResolutionCache {
     }
   };
   static_assert(sizeof(Entry) == 8);
+  static_assert(std::is_trivially_default_constructible_v<Entry>);
   static_assert(kDeferredPageSize <= (1u << 13), "mem_offset is 13 bits");
 
   struct Bank {
-    std::array<Entry, kNumSlots> slots = {};
+    std::array<Entry, kNumSlots> slots;  // zeroed by Claim before first use
     uint64_t hcr = 0;
     uint64_t vncr = 0;
-    uint64_t generation = 0;
+    uint64_t generation = 0;  // 0: slots not zeroed since construction/wrap
     uint64_t last_used = 0;
     bool tagged = false;  // hcr/vncr identify a real configuration
   };
@@ -228,32 +238,37 @@ class ResolutionCache {
     return static_cast<uint32_t>(generation);
   }
 
-  // The next generation. Stamps are its low 32 bits and zero means "never
-  // filled", so when the stamps wrap every entry and every bank tag is
-  // dropped: no old stamp can match a new generation, and no bank keeps a
-  // generation whose entries are gone. The caller gives the returned
-  // generation to a bank.
-  uint64_t NextGeneration() {
+  // Gives `b` the next generation, the only way a bank becomes current
+  // under a new one. Stamps are a generation's low 32 bits and zero means
+  // "never filled". A bank whose generation is 0 has not been zeroed since
+  // construction or since the stamps last wrapped, so its slots are zeroed
+  // now, before anything can look them up. When the stamps wrap, every bank
+  // tag is dropped and every generation set to 0: no old stamp can then
+  // match a new generation, and no bank is revalidated into stale entries.
+  void Claim(Bank& b) {
     ++next_generation_;
     if (Stamp(next_generation_) == 0) {
-      for (Bank& b : banks_) {
-        b.slots.fill(Entry{});
-        b.tagged = false;
-        b.generation = 0;
+      for (Bank& other : banks_) {
+        other.tagged = false;
+        other.generation = 0;
       }
       ++next_generation_;
     }
-    return next_generation_;
+    if (b.generation == 0) {
+      std::memset(b.slots.data(), 0, sizeof(b.slots));
+    }
+    b.generation = next_generation_;
   }
 
   // not-snapshotted: the whole cache is a cycle-invisible fast path,
   // rebuilt via InvalidateResolutionsFor/OnConfigChange after restore.
-  std::array<Bank, kNumBanks> banks_ = {};
+  std::array<Bank, kNumBanks> banks_;
   size_t current_ = 0;  // not-snapshotted: see banks_
-  // Generations start at 1 so zero-initialized entries are stale in every
-  // bank; bank 0 owns generation 1 from the start and is tagged with the
-  // reset configuration (HCR_EL2 = VNCR_EL2 = 0), matching a fresh Cpu.
-  uint64_t next_generation_ = 1;  // not-snapshotted: see banks_
+  // Zero-filled entries are stale in every bank, since no generation's
+  // stamp is 0; bank 0 claims generation 1 at construction and is tagged
+  // with the reset configuration (HCR_EL2 = VNCR_EL2 = 0), matching a fresh
+  // Cpu.
+  uint64_t next_generation_ = 0;  // not-snapshotted: see banks_
   uint64_t tick_ = 0;             // not-snapshotted: see banks_
   uint64_t hits_ = 0;             // not-snapshotted: host-side metric
   uint64_t misses_ = 0;           // not-snapshotted: host-side metric

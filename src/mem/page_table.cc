@@ -61,8 +61,14 @@ void PageTable::MapRange(uint64_t input_start, Pa output_start, uint64_t size,
   NEVE_CHECK(IsAligned(input_start, kPageSize));
   NEVE_CHECK(IsAligned(output_start.value, kPageSize));
   NEVE_CHECK(IsAligned(size, kPageSize));
+  // Descriptors differ only in their output page, so each is the first
+  // one plus its page's offset. The sum cannot carry into the permission
+  // bits while the output range fits the descriptor's output field.
+  NEVE_CHECK(output_start.value + size <= kOutputLimit &&
+             output_start.value + size >= output_start.value);
+  const uint64_t first_desc = MakePageDesc(output_start, perms);
   MutexLock lock(mu_);
-  std::array<uint64_t, kTableEntries> descs{};
+  std::array<uint64_t, kTableEntries> descs;
   uint64_t pages = size >> kPageShift;
   for (uint64_t page = 0; page < pages;) {
     uint64_t input = input_start + (page << kPageShift);
@@ -73,8 +79,7 @@ void PageTable::MapRange(uint64_t input_start, Pa output_start, uint64_t size,
     uint64_t run =
         std::min(kTableEntries - LevelIndex(input, 3), pages - page);
     for (uint64_t i = 0; i < run; ++i) {
-      descs[i] = MakePageDesc(
-          Pa(output_start.value + ((page + i) << kPageShift)), perms);
+      descs[i] = first_desc + ((page + i) << kPageShift);
     }
     std::optional<Pa> slot = DescSlot(input, /*create=*/true);
     mem_->Write64Run(*slot, std::span<const uint64_t>(descs.data(), run));

@@ -92,10 +92,12 @@ class PageTable {
 
   // Maps [input_start, input_start + size) to the same-sized range at
   // output_start with perms, overwriting existing mappings. All three
-  // arguments must be page-aligned (aborts otherwise). Leaves memory exactly
-  // as one MapPage per page in ascending order would: the same table pages,
-  // allocated in the same order, holding the same descriptors. It walks to
-  // each level-3 table once and writes that table's run of slots at once.
+  // arguments must be page-aligned, and the output range must lie below
+  // 2^48, the descriptor's output field (aborts otherwise). Leaves memory
+  // exactly as one MapPage per page in ascending order would: the same
+  // table pages, allocated in the same order, holding the same descriptors.
+  // It walks to each level-3 table once and writes that table's run of
+  // slots at once.
   void MapRange(uint64_t input_start, Pa output_start, uint64_t size,
                 PagePerms perms);
 
@@ -128,6 +130,8 @@ class PageTable {
   static Pa DescOutput(uint64_t d) {
     return Pa(d & 0x0000FFFFFFFFF000ull);
   }
+  // One past the highest output address a descriptor holds (bits 47:12).
+  static constexpr uint64_t kOutputLimit = uint64_t{1} << 48;
   static uint64_t MakeTableDesc(Pa table) { return table.value | 0b11; }
   static uint64_t MakePageDesc(Pa page, PagePerms perms);
   static PagePerms DescPerms(uint64_t d);

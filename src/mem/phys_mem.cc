@@ -45,7 +45,7 @@ PhysMem::Page& PhysMem::PageFor(Pa pa) {
   return page != nullptr ? *page : Materialize(pa.PageIndex());
 }
 
-PhysMem::Page& PhysMem::Materialize(uint64_t page_index) {
+PhysMem::Page& PhysMem::Materialize(uint64_t page_index, bool* created) {
   MutexLock lock(pages_mu_);
   // Another lane may have published the chunk or the page since the
   // caller's loads.
@@ -61,6 +61,9 @@ PhysMem::Page& PhysMem::Materialize(uint64_t page_index) {
   }
   auto page = std::make_unique<Page>();  // value-initialized: all zero
   slot.store(page.get(), std::memory_order_release);
+  if (created != nullptr) {
+    *created = true;
+  }
   return *resident_.emplace(page_index, std::move(page)).first->second;
 }
 
@@ -190,7 +193,17 @@ void PhysMem::Write8(Pa pa, uint8_t value) {
 void PhysMem::ZeroPage(Pa page_base) {
   NEVE_CHECK(IsAligned(page_base.value, kPageSize));
   CheckRange(page_base, kPageSize);
-  PageFor(page_base).fill(0);
+  // A page this call materializes is zero already; only one that was
+  // resident needs the fill.
+  const uint64_t index = page_base.PageIndex();
+  Page* page = LoadPage(index);
+  bool created = false;
+  if (page == nullptr) {
+    page = &Materialize(index, &created);
+  }
+  if (!created) {
+    page->fill(0);
+  }
   if (dirty_enabled_) {
     MarkDirty(page_base.PageIndex());
   }

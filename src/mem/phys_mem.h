@@ -116,7 +116,9 @@ class PhysMem : public MemIo {
   const Page* PageForRead(Pa pa) const { return LoadPage(pa.PageIndex()); }
   // The page holding pa, materialized zeroed on first touch.
   Page& PageFor(Pa pa);
-  Page& Materialize(uint64_t page_index);
+  // The page at page_index, allocated zeroed unless another caller
+  // published it first; *created says which, when given.
+  Page& Materialize(uint64_t page_index, bool* created = nullptr);
   void CheckRange(Pa pa, uint64_t bytes) const;
   void CheckPageIndex(uint64_t page_index) const;
   void MarkDirty(uint64_t page_index);

@@ -1,6 +1,8 @@
 #include "src/obs/tracer.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <new>
 
 #include "src/base/log.h"
 #include "src/base/status.h"
@@ -28,66 +30,70 @@ Tracer::Tracer(size_t capacity) : capacity_(capacity) {
   NEVE_CHECK(capacity > 0);
 }
 
-inline TraceEvent& Tracer::NextSlot() {
-  if (events_.size() < capacity_) {
-    return events_.emplace_back();
-  }
-  TraceEvent& slot = events_[next_];
+inline TraceEvent* Tracer::NextSlot() {
+  size_t i = next_;
   if (++next_ == capacity_) {
     next_ = 0;
   }
-  ++dropped_;
-  if (drop_counter_ != nullptr) {
-    drop_counter_->Add(1);
+  if (size_ < capacity_) {
+    if (i / kBlockEvents == blocks_.size()) {
+      size_t slots = std::min(kBlockEvents, capacity_ - i);
+      blocks_.emplace_back(static_cast<TraceEvent*>(
+          ::operator new(slots * sizeof(TraceEvent))));
+    }
+    ++size_;
+  } else {
+    ++dropped_;
+    if (drop_counter_ != nullptr) {
+      drop_counter_->Add(1);
+    }
   }
-  return slot;
+  return &Slot(i);
 }
 
 uint64_t Tracer::Begin(int cpu, const char* category, const char* name,
                        uint64_t ts) {
   ++open_spans_;
-  TraceEvent& ev = NextSlot();
-  ev = {.phase = TracePhase::kBegin,
-        .cpu = cpu,
-        .ts = ts,
-        .category = category,
-        .name = name,
-        .id = next_id_++};
-  return ev.id;
+  return (new (NextSlot()) TraceEvent{.phase = TracePhase::kBegin,
+                                      .cpu = cpu,
+                                      .ts = ts,
+                                      .category = category,
+                                      .name = name,
+                                      .id = next_id_++})
+      ->id;
 }
 
 void Tracer::End(int cpu, const char* category, const char* name,
                  uint64_t ts) {
   --open_spans_;
-  NextSlot() = {.phase = TracePhase::kEnd,
-                .cpu = cpu,
-                .ts = ts,
-                .category = category,
-                .name = name,
-                .id = next_id_++};
+  new (NextSlot()) TraceEvent{.phase = TracePhase::kEnd,
+                              .cpu = cpu,
+                              .ts = ts,
+                              .category = category,
+                              .name = name,
+                              .id = next_id_++};
 }
 
 uint64_t Tracer::Instant(int cpu, const char* category, const char* name,
                          uint64_t ts, const char* arg_name, uint64_t arg) {
-  TraceEvent& ev = NextSlot();
-  ev = {.phase = TracePhase::kInstant,
-        .cpu = cpu,
-        .ts = ts,
-        .category = category,
-        .name = name,
-        .arg_name = arg_name,
-        .arg = arg,
-        .id = next_id_++};
-  return ev.id;
+  return (new (NextSlot()) TraceEvent{.phase = TracePhase::kInstant,
+                                      .cpu = cpu,
+                                      .ts = ts,
+                                      .category = category,
+                                      .name = name,
+                                      .arg_name = arg_name,
+                                      .arg = arg,
+                                      .id = next_id_++})
+      ->id;
 }
 
 std::vector<TraceEvent> Tracer::Snapshot() const {
   std::vector<TraceEvent> out;
-  out.reserve(events_.size());
+  out.reserve(size_);
   // Oldest-first: the ring's write position is the oldest slot once wrapped.
-  size_t start = events_.size() < capacity_ ? 0 : next_;
-  for (size_t i = 0; i < events_.size(); ++i) {
-    out.push_back(events_[(start + i) % events_.size()]);
+  size_t start = size_ < capacity_ ? 0 : next_;
+  for (size_t i = 0; i < size_; ++i) {
+    out.push_back(Slot((start + i) % size_));
   }
   return out;
 }
@@ -155,7 +161,7 @@ bool Tracer::WriteChromeJson(const std::string& path) const {
 }
 
 void Tracer::Clear() {
-  events_.clear();
+  size_ = 0;
   next_ = 0;
   dropped_ = 0;
 }

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "src/arch/vncr.h"
@@ -383,6 +388,119 @@ TEST_F(CpuFixture, DisabledCacheStillResolvesCorrectly) {
   EXPECT_EQ(cpu_.SysRegRead(SysReg::kVBAR_EL2), 0x77u);
   EXPECT_EQ(cpu_.resolution_cache().misses(), m0)
       << "disabled cache must not be probed";
+}
+
+// Runs every slot of the current configuration through Lookup, Insert and
+// Lookup again: the first lookup must miss (each phase below is a fresh
+// generation), the second must hit with what the tree walk resolves.
+void ExpectEverySlotMissesThenHits(ResolutionCache& cache, uint64_t hcr,
+                                   uint64_t vncr, uint32_t fill) {
+  const ArchFeatures features = ArchFeatures::Armv84Neve();
+  for (El el : {El::kEl0, El::kEl1, El::kEl2}) {
+    const AccessContext ctx{.features = features,
+                            .el = el,
+                            .hcr = Hcr{hcr},
+                            .vncr_enabled = VncrEl2(vncr).enabled()};
+    for (int e = 0; e < kNumSysRegs; ++e) {
+      const auto enc = static_cast<SysReg>(e);
+      for (bool w : {false, true}) {
+        AccessResolution got;
+        ASSERT_FALSE(cache.Lookup(enc, el, w, &got))
+            << "fill " << fill << ": " << SysRegName(enc)
+            << " hit before its Insert";
+        const AccessResolution want = ResolveSysRegAccess(ctx, enc, w);
+        cache.Insert(enc, el, w, want);
+        ASSERT_TRUE(cache.Lookup(enc, el, w, &got));
+        ASSERT_EQ(got.kind, want.kind) << SysRegName(enc);
+        ASSERT_EQ(got.target, want.target) << SysRegName(enc);
+        ASSERT_EQ(got.mem_offset, want.mem_offset) << SysRegName(enc);
+      }
+    }
+  }
+}
+
+// The reset configuration, then ten distinct (HCR_EL2, VNCR_EL2) pairs
+// twice (ten pairs thrash eight LRU banks, so every switch takes a fresh
+// generation and each bank is claimed), then Invalidate().
+void DriveThroughEveryBank(ResolutionCache& cache, uint32_t fill) {
+  const uint64_t page = VncrEl2::Make(8ull << 20, true).bits();
+  const uint64_t hcrs[] = {
+      Hcr::Make({HcrBits::kVm}),
+      Hcr::Make({HcrBits::kVm, HcrBits::kImo}),
+      Hcr::Make({HcrBits::kVm, HcrBits::kImo, HcrBits::kNv}),
+      Hcr::Make({HcrBits::kVm, HcrBits::kImo, HcrBits::kNv, HcrBits::kNv1}),
+      Hcr::Make({HcrBits::kE2h, HcrBits::kTge})};
+  ExpectEverySlotMissesThenHits(cache, 0, 0, fill);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint64_t hcr : hcrs) {
+      for (uint64_t vncr : {uint64_t{0}, page}) {
+        cache.OnConfigChange(hcr, vncr);
+        ExpectEverySlotMissesThenHits(cache, hcr, vncr, fill);
+      }
+    }
+  }
+  cache.Invalidate();
+  ExpectEverySlotMissesThenHits(cache, hcrs[4], page, fill);
+}
+
+TEST(ResolutionCacheBankTest, UnzeroedBanksAreNeverRead) {
+  // A cache's banks are zeroed when first claimed, not at construction. Build
+  // caches over storage whose every 32-bit word is g, so each slot not yet
+  // zeroed carries stamp g and would hit under generation g, and require the
+  // behaviour of a default-constructed cache for every generation the drive
+  // reaches.
+  ResolutionCache fresh;
+  DriveThroughEveryBank(fresh, 0);
+  constexpr size_t kWords = (sizeof(ResolutionCache) + 3) / 4;
+  static_assert(alignof(ResolutionCache) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  for (uint32_t g = 1; g <= 16; ++g) {
+    auto storage = std::make_unique<uint32_t[]>(kWords);
+    std::fill_n(storage.get(), kWords, g);
+    // Keeps the fill: the stores are otherwise dead once a new object's
+    // lifetime starts in the storage.
+    asm volatile("" : : "r"(storage.get()) : "memory");
+    auto* cache = new (storage.get()) ResolutionCache;
+    DriveThroughEveryBank(*cache, g);
+    EXPECT_EQ(cache->hits(), fresh.hits()) << "fill " << g;
+    EXPECT_EQ(cache->misses(), fresh.misses()) << "fill " << g;
+    EXPECT_EQ(cache->config_generation(), fresh.config_generation());
+    cache->~ResolutionCache();
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(ResolutionCacheBankTest, StampWrapLeavesNoEntryReadable) {
+  // Eight new configurations from a fresh cache claim banks 0-7 in turn, so
+  // bank b ends with generation b + 2. After the 32-bit stamps wrap, the
+  // same eight claim the same banks with the same stamps: an entry the wrap
+  // left in place would hit before its Insert.
+  const uint64_t page = VncrEl2::Make(8ull << 20, true).bits();
+  std::vector<std::pair<uint64_t, uint64_t>> configs;
+  for (uint64_t hcr : {Hcr::Make({HcrBits::kVm}),
+                       Hcr::Make({HcrBits::kVm, HcrBits::kImo}),
+                       Hcr::Make({HcrBits::kVm, HcrBits::kNv}),
+                       Hcr::Make({HcrBits::kE2h, HcrBits::kTge})}) {
+    configs.emplace_back(hcr, 0);
+    configs.emplace_back(hcr, page);
+  }
+  ASSERT_EQ(configs.size(), ResolutionCache::kNumBanks);
+  ResolutionCache cache;
+  for (auto [hcr, vncr] : configs) {
+    cache.OnConfigChange(hcr, vncr);
+    ExpectEverySlotMissesThenHits(cache, hcr, vncr, 0);
+  }
+  ASSERT_EQ(cache.config_generation(), ResolutionCache::kNumBanks + 1);
+  cache.SkipToStampWrapForTest();
+  cache.Invalidate();  // wraps: the current bank takes stamp 1
+  EXPECT_EQ(cache.config_generation(), (uint64_t{1} << 32) + 1);
+  for (auto [hcr, vncr] : configs) {
+    cache.OnConfigChange(hcr, vncr);
+    ExpectEverySlotMissesThenHits(cache, hcr, vncr, 0);
+  }
+  EXPECT_EQ(cache.config_generation(),
+            (uint64_t{1} << 32) + ResolutionCache::kNumBanks + 1);
 }
 
 // --- NEVE memory redirection --------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/obs/metrics.h"
@@ -368,6 +369,50 @@ TEST(TracerTest, ObservabilityWiresTheDropCounter) {
   const MetricCounter* c = obs.metrics().FindCounter("obs.trace_dropped_events");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->value(), 3u);
+}
+
+TEST(TracerTest, DefaultCapacityRingKeepsTheNewestEventsInOrder) {
+  // Ten events past the default capacity, spans included, so the ring
+  // fills every one of its blocks and then wraps across the first.
+  Observability obs;
+  obs.set_enabled(true);
+  FakeClock clock;
+  const size_t total = Tracer::kDefaultCapacity + 10;
+  std::vector<TracePhase> phases;  // every event recorded, oldest first
+  auto next_ts = [&](TracePhase phase) {
+    phases.push_back(phase);
+    return clock.now = phases.size() - 1;  // an event's ts is its index
+  };
+  {
+    next_ts(TracePhase::kBegin);
+    ScopedSpan outer(&obs, clock, "trap", "hvc");  // open across the wrap
+    while (phases.size() + 4 <= total) {
+      next_ts(TracePhase::kBegin);
+      ScopedSpan inner(&obs, clock, "world_switch", "save_el1");
+      obs.tracer().Instant(0, "gic", "virtual_ack",
+                           next_ts(TracePhase::kInstant));
+      next_ts(TracePhase::kEnd);
+    }
+    while (phases.size() + 1 < total) {
+      obs.tracer().Instant(0, "gic", "virtual_ack",
+                           next_ts(TracePhase::kInstant));
+    }
+    EXPECT_EQ(obs.tracer().open_spans(), 1);
+    next_ts(TracePhase::kEnd);
+  }
+  const Tracer& t = obs.tracer();
+  ASSERT_EQ(phases.size(), total);
+  EXPECT_EQ(t.open_spans(), 0);
+  EXPECT_EQ(t.dropped_events(), 10u);
+  EXPECT_EQ(t.size(), Tracer::kDefaultCapacity);
+  std::vector<TraceEvent> events = t.Snapshot();
+  ASSERT_EQ(events.size(), Tracer::kDefaultCapacity);
+  for (size_t i = 0; i < events.size(); ++i) {
+    const uint64_t index = 10 + i;  // the ten oldest were overwritten
+    ASSERT_EQ(events[i].id, index + 1) << "slot " << i;
+    ASSERT_EQ(events[i].ts, index) << "slot " << i;
+    ASSERT_EQ(events[i].phase, phases[index]) << "slot " << i;
+  }
 }
 
 TEST(TracerTest, ChromeJsonReportsDroppedCount) {

@@ -148,8 +148,8 @@ run_tsan() {
 
 # Perf + serialization smoke on the Release build: run the simulator-core
 # microbenchmarks into BENCH_simcore.json, validate the JSON with the
-# schema checker, and enforce the guest-ops/sec, stack-construction and
-# nested hypercall floors (tools/perf_ratchet.txt; two extra runs of just
+# schema checker, and enforce the guest-ops/sec, stack-construction, nested
+# hypercall and nested boot floors (tools/perf_ratchet.txt; two extra runs of just
 # the ratcheted benchmarks make the check best-of-3 so one noisy run can't
 # flake it).
 run_smoke() {
@@ -167,10 +167,10 @@ run_smoke() {
   trap 'rm -rf "$tmp"; trap - RETURN' RETURN
   echo "==> [smoke] perf ratchet (best-of-3)"
   "$build_dir/bench/simcore_gbench" \
-    --benchmark_filter='GuestOpsBurst|StackConstruction|NestedHypercallV83($|Uncached|Observed)' \
+    --benchmark_filter='GuestOpsBurst|StackConstruction|NestedHypercallV83($|Uncached|Observed)|NestedBootV83($|Observed)' \
     --json="$tmp/ratchet1.json" >/dev/null
   "$build_dir/bench/simcore_gbench" \
-    --benchmark_filter='GuestOpsBurst|StackConstruction|NestedHypercallV83($|Uncached|Observed)' \
+    --benchmark_filter='GuestOpsBurst|StackConstruction|NestedHypercallV83($|Uncached|Observed)|NestedBootV83($|Observed)' \
     --json="$tmp/ratchet2.json" >/dev/null
   "$build_dir/tools/perf_ratchet" "$ROOT/tools/perf_ratchet.txt" \
     "$ROOT/BENCH_simcore.json" "$tmp/ratchet1.json" "$tmp/ratchet2.json"

@@ -9,8 +9,9 @@
 // single noisy run on a loaded CI host can't fail a floor that a retry
 // clears (the same min-of-reps discipline as tests/attr_test.cc's
 // AttrOverheadGuard). ci.sh's smoke stage feeds the full BENCH_simcore.json
-// run plus two extra runs of the GuestOpsBurst, StackConstruction and
-// NestedHypercallV83(Uncached) benchmarks.
+// run plus two extra runs of the GuestOpsBurst, StackConstruction,
+// NestedHypercallV83(Uncached|Observed) and NestedBootV83(Observed)
+// benchmarks.
 //
 // Ratchet file format (tools/perf_ratchet.txt), '#' comments allowed:
 //
