@@ -149,9 +149,9 @@ run_tsan() {
 # Perf + serialization smoke on the Release build: run the simulator-core
 # microbenchmarks into BENCH_simcore.json, validate the JSON with the
 # schema checker, and enforce the guest-ops/sec, stack-construction, nested
-# hypercall and nested boot floors (tools/perf_ratchet.txt; two extra runs of just
-# the ratcheted benchmarks make the check best-of-3 so one noisy run can't
-# flake it).
+# hypercall and nested boot floors (tools/perf_ratchet.txt; two extra runs
+# of just the ratcheted benchmarks make the check best-of-3 so one noisy run
+# can't flake it).
 run_smoke() {
   local build_dir="$ROOT/build-ci-release"
   echo "==> [smoke] configure + build (Release)"
@@ -166,11 +166,11 @@ run_smoke() {
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"; trap - RETURN' RETURN
   echo "==> [smoke] perf ratchet (best-of-3)"
-  "$build_dir/bench/simcore_gbench" \
-    --benchmark_filter='GuestOpsBurst|StackConstruction|NestedHypercallV83($|Uncached|Observed)|NestedBootV83($|Observed)' \
+  local ratcheted='GuestOpsBurst|StackConstruction'
+  ratcheted+='|NestedHypercallV83($|Uncached|Observed)|NestedBootV83($|Observed)'
+  "$build_dir/bench/simcore_gbench" --benchmark_filter="$ratcheted" \
     --json="$tmp/ratchet1.json" >/dev/null
-  "$build_dir/bench/simcore_gbench" \
-    --benchmark_filter='GuestOpsBurst|StackConstruction|NestedHypercallV83($|Uncached|Observed)|NestedBootV83($|Observed)' \
+  "$build_dir/bench/simcore_gbench" --benchmark_filter="$ratcheted" \
     --json="$tmp/ratchet2.json" >/dev/null
   "$build_dir/tools/perf_ratchet" "$ROOT/tools/perf_ratchet.txt" \
     "$ROOT/BENCH_simcore.json" "$tmp/ratchet1.json" "$tmp/ratchet2.json"
